@@ -39,7 +39,7 @@ from .groups import GroupSpec, build
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
-from .treecount import block_decomposition_kappa
+from .treecount import block_decomposition_kappa, quotient_kappa
 
 USAGE_ERRORS = (
     ParseError,
@@ -165,10 +165,10 @@ def _compute_record(
                 return None
             print(
                 f"note: no closed form for {spec.render()}"
-                f"{' (reduced)' if reduced else ''}; using matrix-tree",
+                f"{' (reduced)' if reduced else ''}; using quotient",
                 file=sys.stderr,
             )
-            used = "matrix-tree"
+            used = "quotient"
         else:
             g_order = _spec_order(spec)
             if g_order is None:
@@ -183,11 +183,14 @@ def _compute_record(
                 elapsed_ms=(time.perf_counter() - start) * 1000,
             )
     g = build(spec)
-    graph = reduced_power_graph(g) if reduced else power_graph(g)
-    if used == "decomposition":
-        result = block_decomposition_kappa(graph)
+    if used == "quotient":
+        result = quotient_kappa(g, reduced)
     else:
-        result = temperley_kappa(graph)
+        graph = reduced_power_graph(g) if reduced else power_graph(g)
+        if used == "decomposition":
+            result = block_decomposition_kappa(graph)
+        else:
+            result = temperley_kappa(graph)
     return OutputRecord(
         group=g.name,
         order=g.order,
@@ -202,7 +205,7 @@ def _compute_record(
 def cmd_kappa(args) -> int:
     spec = parse_group_spec(args.spec)
     methods = (
-        ["matrix-tree", "decomposition", "closed-form"]
+        ["quotient", "matrix-tree", "decomposition", "closed-form"]
         if args.method == "all"
         else [args.method]
     )
@@ -373,8 +376,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kappa", help="tree count of a group's power graph")
     p.add_argument("spec", help="group spec, e.g. cyclic:12 or product:(cyclic:3)x(cyclic:2)")
     p.add_argument("--reduced", action="store_true", help="delete the identity vertex first")
-    p.add_argument("--method", default="matrix-tree",
-                   choices=["matrix-tree", "closed-form", "decomposition", "all"])
+    p.add_argument("--method", default="quotient",
+                   choices=["quotient", "matrix-tree", "closed-form", "decomposition", "all"])
     p.add_argument("--format", default="plain", choices=["plain", "factored", "json"])
     p.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON output")
     p.set_defaults(func=cmd_kappa)

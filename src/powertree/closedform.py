@@ -133,8 +133,14 @@ def _middle_determinant(prof: DivisorProfile, diagonal: tuple[int, ...]) -> int:
     return exact_integer_determinant(mat)
 
 
-def _factored_quotient(bases_num, det_num: int, bases_den, square_base: int) -> dict[int, int]:
-    """Exponent arithmetic for (prod b^e * det) / (prod b * square^2)."""
+def _factored_quotient(
+    bases_num, det_num: int, bases_den, square_base: int
+) -> dict[int, int] | None:
+    """Exponent arithmetic for (prod b^e * det) / (prod b * square^2).
+
+    None when det resists factoring: the factorization is best-effort,
+    and the caller's value is exact without it.
+    """
     acc: dict[int, int] = {}
 
     def bump(value: int, times: int) -> None:
@@ -145,7 +151,10 @@ def _factored_quotient(bases_num, det_num: int, bases_den, square_base: int) -> 
 
     for base, exp in bases_num:
         bump(base, exp)
-    bump(det_num, 1)
+    try:
+        bump(det_num, 1)
+    except ValueError:
+        return None
     for base in bases_den:
         bump(base, -1)
     bump(square_base, -2)

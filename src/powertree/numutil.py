@@ -5,10 +5,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-# Witnesses making Miller-Rabin deterministic below 3.3 * 10^24; above that
-# the test is a strong probable-prime check, which is ample for the factor
-# sizes arising here.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as witnesses make Miller-Rabin deterministic below
+# psi_13 = 3317044064679887385961981, the smallest strong pseudoprime to all
+# of them; above that the test is a strong probable-prime check.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
 def is_prime(n: int) -> bool:

@@ -1,14 +1,17 @@
 """Exact spanning-tree counting.
 
-Four independent routes to the same number: the all-ones-plus-Laplacian
+Independent routes to the same number: the all-ones-plus-Laplacian
 determinant det(J+Q)/n^2, brute-force enumeration, the deletion-contraction
-recurrence, and multiplication over biconnected blocks. A disconnected graph
-counts 0 trees by convention.
+recurrence, multiplication over biconnected blocks, and, for power graphs,
+the weighted count on the quotient by cyclic subgroups. A disconnected
+graph counts 0 trees by convention.
 """
 
 from __future__ import annotations
 
-from .errors import Disconnected, DiscrepancyDetected, TooLarge
+from math import prod
+
+from .errors import Disconnected, DiscrepancyDetected, TooLarge, TrivialGroup
 from .numutil import format_factored, try_factorize
 from .powergraph import PowerGraph
 
@@ -259,6 +262,59 @@ def temperley_kappa(graph) -> TreeNumber:
     if q < 0:
         raise DiscrepancyDetected(f"negative tree count {q} from determinant")
     return TreeNumber(q)
+
+
+def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
+    """Tree count of the (reduced) power graph of `group` from its cyclic subgroups.
+
+    The k_C = phi(|C|) generators of a cyclic subgroup C are closed twins of
+    a common degree d_C. Each class adds the Laplacian eigenvalue d_C + 1
+    k_C - 1 times and collapses to one vertex of the comparability graph of
+    cyclic subgroups, edge C-D carrying multiplicity k_C * k_D, so
+
+        kappa = prod_C (d_C + 1)^(k_C - 1) * tau_W / prod_C k_C
+
+    with tau_W the weighted tree count of that quotient. The reduced graph
+    drops the identity class. Only `group.cyclic_closure` is read; no power
+    graph is built.
+    """
+    if reduced and group.order < 2:
+        raise TrivialGroup("reduced power graph needs |G| >= 2")
+    closures = group.cyclic_closure
+    # class index of each element; class 0 is the identity's
+    cls = [-1] * group.order
+    subgroups: list[frozenset[int]] = []
+    sizes: list[int] = []
+    for x, closure in enumerate(closures):
+        if cls[x] != -1:
+            continue
+        c = len(subgroups)
+        subgroups.append(closure)
+        k = 0
+        for y in closure:
+            if len(closures[y]) == len(closure):
+                cls[y] = c
+                k += 1
+        sizes.append(k)
+    drop = 1 if reduced else 0
+    quotient = MultiGraph(len(sizes) - drop)
+    # generators of strictly larger cyclic subgroups, per class
+    up = [0] * len(sizes)
+    for c, s in enumerate(subgroups):
+        # each comparable pair once, from the larger subgroup
+        for b in {cls[y] for y in s} - {c}:
+            up[b] += sizes[c]
+            if b >= drop:
+                quotient.add_edge(c - drop, b - drop, sizes[c] * sizes[b])
+    kept = range(drop, len(sizes))
+    # d_C + 1 = |C| + (generators above C), less the identity when reduced
+    num = temperley_kappa(quotient).value * prod(
+        (len(subgroups[c]) - drop + up[c]) ** (sizes[c] - 1) for c in kept
+    )
+    value, rem = divmod(num, prod(sizes[c] for c in kept))
+    if rem:
+        raise DiscrepancyDetected("quotient count not divisible by the class sizes")
+    return TreeNumber(value)
 
 
 def enumerate_spanning_trees(graph) -> TreeNumber:

@@ -4,8 +4,9 @@ import pytest
 
 from powertree.cli import main
 from powertree.errors import ParseError
-from powertree.groups import GroupSpec
+from powertree.groups import GroupSpec, build
 from powertree.specparse import parse_group_spec
+from powertree.treecount import quotient_kappa
 
 ROUND_TRIP_SPECS = [
     "cyclic:12",
@@ -98,8 +99,9 @@ def test_cmd_kappa_plain(capsys):
 def test_cmd_kappa_method_all(capsys):
     assert main(["kappa", "cyclic:6", "--method", "all"]) == 0
     out = capsys.readouterr().out
-    assert out.count("540") == 3
+    assert out.count("540") == 4
     assert "closed-form" in out
+    assert "quotient: 540" in out
 
 
 def test_cmd_kappa_factored(capsys):
@@ -113,16 +115,17 @@ def test_cmd_kappa_trivial(capsys):
 
 
 def test_cmd_kappa_json(capsys):
-    assert main(["kappa", "cyclic:12", "--format", "json"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload == {
-        "group": "Z_12",
-        "order": 12,
-        "method": "matrix-tree",
-        "kappa": "7823278080",
-        "factorization": "2^14*3^6*5*131",
-        "reduced": False,
-    }
+    for argv, method in (([], "quotient"), (["--method", "matrix-tree"], "matrix-tree")):
+        assert main(["kappa", "cyclic:12", "--format", "json", *argv]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload == {
+            "group": "Z_12",
+            "order": 12,
+            "method": method,
+            "kappa": "7823278080",
+            "factorization": "2^14*3^6*5*131",
+            "reduced": False,
+        }
 
 
 def test_cmd_kappa_reduced(capsys):
@@ -133,7 +136,9 @@ def test_cmd_kappa_reduced(capsys):
 def test_cmd_kappa_reduced_disconnected_all_methods(capsys):
     assert main(["kappa", "elemabelian:2^2", "--reduced", "--method", "all"]) == 0
     out = capsys.readouterr().out
-    assert set(out.strip().splitlines()) == {"matrix-tree: 0", "decomposition: 0"}
+    assert set(out.strip().splitlines()) == {
+        "quotient: 0", "matrix-tree: 0", "decomposition: 0"
+    }
 
 
 def test_cmd_kappa_closed_form_fallback_notice(capsys):
@@ -141,6 +146,16 @@ def test_cmd_kappa_closed_form_fallback_notice(capsys):
     captured = capsys.readouterr()
     assert "no closed form" in captured.err
     assert captured.out.strip() == "0"  # reduced D_8 is disconnected
+
+
+def test_cmd_kappa_closed_form_unfactored_middle_determinant(capsys):
+    # the middle determinant resists factoring; the exact value still comes out
+    argv = ["kappa", "cyclic:420", "--reduced", "--method", "closed-form", "--format", "json"]
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["method"] == "closed-form"
+    expected = quotient_kappa(build(GroupSpec("cyclic", (420,))), reduced=True)
+    assert int(payload["kappa"]) == expected.value
 
 
 def test_cmd_kappa_deterministic_output(capsys):

@@ -25,10 +25,10 @@ from powertree.errors import (
     TooManyDivisors,
     TrivialGroup,
 )
-from powertree.groups import build
+from powertree.groups import GroupSpec, build
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
-from powertree.treecount import temperley_kappa
+from powertree.treecount import quotient_kappa, temperley_kappa
 
 
 def _build(text):
@@ -113,6 +113,14 @@ def test_kappa_cyclic_reduced_matches_matrix_tree_to_60():
     for n in range(2, 61):
         direct = temperley_kappa(reduced_power_graph(_build(f"cyclic:{n}"))).value
         assert kappa_cyclic_reduced(n).value == direct, n
+
+
+def test_kappa_cyclic_matches_quotient_to_200():
+    for n in range(1, 201):
+        g = build(GroupSpec("cyclic", (n,)))
+        assert kappa_cyclic(n).value == quotient_kappa(g).value, n
+        if n >= 2:
+            assert kappa_cyclic_reduced(n).value == quotient_kappa(g, reduced=True).value, n
 
 
 def test_kappa_cyclic_reduced_values():

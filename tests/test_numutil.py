@@ -26,6 +26,12 @@ def test_is_prime_larger():
     assert is_prime(10**18 + 9)
 
 
+def test_is_prime_rejects_psi12():
+    # the smallest strong pseudoprime to every prime base up to 37
+    assert 399165290221 * 798330580441 == 318665857834031151167461
+    assert not is_prime(318665857834031151167461)
+
+
 def test_primes_upto_and_next():
     assert primes_upto(16) == [2, 3, 5, 7, 11, 13]
     assert primes_upto(1) == []

@@ -1,0 +1,40 @@
+"""Property checks on random permutation groups of degree <= 5.
+
+Every route must give the same count, and every command line must end in
+an exit code rather than an exception escaping `main`.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powertree.cli import main
+from powertree.groups import GroupSpec, build
+from powertree.powergraph import power_graph, reduced_power_graph
+from powertree.treecount import quotient_kappa, temperley_kappa
+
+
+@st.composite
+def perm_specs(draw):
+    degree = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.permutations(range(degree)), min_size=1, max_size=2))
+    return GroupSpec("perm", (degree,), generators=tuple(map(tuple, gens)))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(perm_specs())
+def test_quotient_matches_determinant_on_random_perm_groups(spec):
+    g = build(spec)
+    assert quotient_kappa(g) == temperley_kappa(power_graph(g))
+    if g.order >= 2:
+        assert quotient_kappa(g, reduced=True) == temperley_kappa(reduced_power_graph(g))
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(perm_specs(), st.booleans())
+def test_cli_kappa_all_methods_returns_exit_code(spec, reduced):
+    argv = ["kappa", spec.render(), "--method", "all", "--format", "json"]
+    if reduced:
+        argv.append("--reduced")
+    # the trivial group has no reduced graph (usage error); otherwise all
+    # routes agree
+    assert main(argv) == (2 if reduced and build(spec).order < 2 else 0)

@@ -3,10 +3,11 @@ from fractions import Fraction
 
 import pytest
 
-from powertree.errors import Disconnected, DiscrepancyDetected, TooLarge
+from powertree.errors import Disconnected, DiscrepancyDetected, TooLarge, TrivialGroup
 from powertree.groups import build
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
+from powertree.table1 import GOLDEN_ROWS
 from powertree.treecount import (
     MultiGraph,
     TreeNumber,
@@ -14,6 +15,7 @@ from powertree.treecount import (
     deletion_contraction_kappa,
     enumerate_spanning_trees,
     exact_integer_determinant,
+    quotient_kappa,
     temperley_kappa,
 )
 
@@ -269,6 +271,47 @@ def test_block_decomposition_a6_fast_route():
     graph = _graph("alt:6")
     result = block_decomposition_kappa(graph)
     assert result.value == 2**180 * 3**40 * 5**108
+
+
+# --- cyclic-subgroup quotient ------------------------------------------------
+
+
+def _assert_quotient_matches_determinant(text):
+    g = build(parse_group_spec(text))
+    assert quotient_kappa(g).value == temperley_kappa(power_graph(g)).value, text
+    if g.order >= 2:
+        reduced = temperley_kappa(reduced_power_graph(g)).value
+        assert quotient_kappa(g, reduced=True).value == reduced, text
+
+
+def test_quotient_matches_determinant_on_golden_table():
+    for row in GOLDEN_ROWS:
+        _assert_quotient_matches_determinant(row.spec)
+
+
+@pytest.mark.parametrize("family", ["dihedral", "quaternion"])
+def test_quotient_matches_determinant_dihedral_dicyclic(family):
+    for n in range(1, 16):
+        _assert_quotient_matches_determinant(f"{family}:{n}")
+
+
+@pytest.mark.parametrize("text", ["alt:4", "sym:4", "alt:5", "sym:5"])
+def test_quotient_matches_determinant_permutation_groups(text):
+    _assert_quotient_matches_determinant(text)
+
+
+def test_quotient_matches_block_product_a6():
+    g = build(parse_group_spec("alt:6"))
+    assert quotient_kappa(g) == block_decomposition_kappa(power_graph(g))
+    # the identity is a cut vertex, so the reduced graph falls apart
+    with pytest.raises(Disconnected):
+        block_decomposition_kappa(reduced_power_graph(g))
+    assert quotient_kappa(g, reduced=True) == 0
+
+
+def test_quotient_reduced_trivial_group():
+    with pytest.raises(TrivialGroup):
+        quotient_kappa(build(parse_group_spec("cyclic:1")), reduced=True)
 
 
 # --- MultiGraph and TreeNumber -----------------------------------------------
