@@ -35,7 +35,7 @@ from .errors import (
     TrivialGroup,
     UnsupportedOrder,
 )
-from .groups import GroupSpec, build
+from .groups import GroupSpec, _check_cap, build
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
@@ -126,6 +126,29 @@ def _spec_order(spec: GroupSpec) -> int | None:
     return None
 
 
+def _decimal(value: int) -> str:
+    """Decimal digits of value, also past the interpreter's int-to-str limit.
+
+    The limit stays in force because it also guards parsing of spec text;
+    values above it are split on a power of 10 into halves that fit.
+    """
+    limit = sys.get_int_max_str_digits()
+    # 3 bits per digit undercounts log2(10), so this bound stays under the limit
+    if not limit or value.bit_length() <= 3 * limit:
+        return str(value)
+    if value < 0:
+        return "-" + _decimal(-value)
+    half = value.bit_length() * 3 // 20  # about half the digit count
+    high, low = divmod(value, 10**half)
+    return _decimal(high) + _decimal(low).zfill(half)
+
+
+def _rendered(result: TreeNumber) -> tuple[str, str]:
+    """Decimal and factored text of a tree count; unfactored values print in full."""
+    kappa = _decimal(result.value)
+    return kappa, kappa if result.factorization is None else result.factored()
+
+
 def _closed_form(spec: GroupSpec, reduced: bool) -> TreeNumber | None:
     """Formula-based count when one applies to this family, else None."""
     k, p = spec.kind, spec.params
@@ -159,6 +182,10 @@ def _compute_record(
     start = time.perf_counter()
     used = method
     if method == "closed-form":
+        g_order = _spec_order(spec)
+        if g_order is not None:
+            # the formulas raise to powers near the order: cap before any bigint work
+            _check_cap(g_order, _spec_name(spec))
         result = _closed_form(spec, reduced)
         if result is None:
             if not fallback:
@@ -170,15 +197,15 @@ def _compute_record(
             )
             used = "quotient"
         else:
-            g_order = _spec_order(spec)
             if g_order is None:
                 g_order = build(spec).order
+            kappa, factorization = _rendered(result)
             return OutputRecord(
                 group=_spec_name(spec),
                 order=g_order,
                 method="closed-form",
-                kappa=str(result.value),
-                factorization=result.factored(),
+                kappa=kappa,
+                factorization=factorization,
                 reduced=reduced,
                 elapsed_ms=(time.perf_counter() - start) * 1000,
             )
@@ -191,12 +218,13 @@ def _compute_record(
             result = block_decomposition_kappa(graph)
         else:
             result = temperley_kappa(graph)
+    kappa, factorization = _rendered(result)
     return OutputRecord(
         group=g.name,
         order=g.order,
         method=used,
-        kappa=str(result.value),
-        factorization=result.factored(),
+        kappa=kappa,
+        factorization=factorization,
         reduced=reduced,
         elapsed_ms=(time.perf_counter() - start) * 1000,
     )
@@ -360,7 +388,7 @@ def cmd_det(args) -> int:
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InvalidSpec("matrix file must hold a JSON array of arrays")
     try:
-        print(exact_integer_determinant(matrix))
+        print(_decimal(exact_integer_determinant(matrix)))
     except (ValueError, TypeError) as exc:
         raise InvalidSpec(str(exc)) from exc
     return 0

@@ -209,10 +209,6 @@ def _subset_expansion(prof: DivisorProfile, ratios, ratio_product, outer, square
     """Literal sum over induced subgraphs of the middle incomparability graph."""
     divs = prof.divisors
     mids = list(range(1, len(divs) - 1))
-    if len(mids) > EXPANSION_LIMIT:
-        raise TooManyDivisors(
-            f"{len(mids)} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
-        )
     total = Fraction(0)
     m = len(mids)
     for mask in range(1 << m):
@@ -240,6 +236,11 @@ def _subset_expansion(prof: DivisorProfile, ratios, ratio_product, outer, square
 
 def kappa_cyclic_expansion(n: int) -> TreeNumber:
     """Tree count of P(Z_n) by explicit subset summation; equals kappa_cyclic."""
+    middle = len(divisors(n)) - 2
+    if middle > EXPANSION_LIMIT:
+        raise TooManyDivisors(
+            f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
+        )
     prof = divisor_profile(n)
     outer = prod(m**t for m, t in zip(prof.deg_plus_one, prof.totients))
     return _subset_expansion(

@@ -1,8 +1,9 @@
 """Finite group catalog: cyclic, dihedral, dicyclic, abelian and permutation groups.
 
 Every group is materialized on indices 0..order-1 with index 0 the identity.
-Orders up to TABLE_LIMIT get a full multiplication table; larger groups keep
-their elements and multiply through a composition oracle.
+A group keeps one representation: its element list, the index of each element,
+and the multiplication oracle on elements. No Cayley table is built; the power
+graph and the tree counts read only the cyclic closures computed from it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from math import factorial
 from .errors import InvalidSpec, NotPrime, UnsupportedOrder
 from .numutil import is_prime
 
-TABLE_LIMIT = 2048
 DEFAULT_MAX_ORDER = 10_000
 MAX_PERM_DEGREE = 8
 
@@ -123,7 +123,6 @@ class FiniteGroup:
         "order",
         "element_order",
         "cyclic_closure",
-        "_table",
         "_elements",
         "_index",
         "_mul_raw",
@@ -136,19 +135,9 @@ class FiniteGroup:
         if self.order == 0:
             raise InvalidSpec("a group needs at least the identity element")
         self._reprs = reprs
-        if self.order <= TABLE_LIMIT:
-            index = {e: i for i, e in enumerate(elements)}
-            self._table = [
-                [index[mul(a, b)] for b in elements] for a in elements
-            ]
-            self._elements = None
-            self._index = None
-            self._mul_raw = None
-        else:
-            self._table = None
-            self._elements = list(elements)
-            self._index = {e: i for i, e in enumerate(elements)}
-            self._mul_raw = mul
+        self._elements = list(elements)
+        self._index = {e: i for i, e in enumerate(elements)}
+        self._mul_raw = mul
         for i in {1, self.order - 1, self.order // 2} & set(range(self.order)):
             if self.multiply(0, i) != i or self.multiply(i, 0) != i:
                 raise InvalidSpec(f"element 0 of {name} is not the identity")
@@ -156,8 +145,6 @@ class FiniteGroup:
         self.element_order = [len(c) for c in self.cyclic_closure]
 
     def multiply(self, a: int, b: int) -> int:
-        if self._table is not None:
-            return self._table[a][b]
         return self._index[self._mul_raw(self._elements[a], self._elements[b])]
 
     def inverse(self, a: int) -> int:

@@ -38,14 +38,12 @@ class PowerGraph:
         return self.rows[v].bit_count()
 
     def edges(self):
-        for u in range(self.vertex_count):
-            r = self.rows[u] >> (u + 1)
-            v = u + 1
-            while r:
-                if r & 1:
-                    yield (u, v)
-                r >>= 1
-                v += 1
+        for u, row in enumerate(self.rows):
+            bits = bin(row)[:1:-1]  # bits[v] is bit v of the row
+            v = bits.find("1", u + 1)
+            while v >= 0:
+                yield (u, v)
+                v = bits.find("1", v + 1)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.vertex_count)) // 2
@@ -55,27 +53,25 @@ class PowerGraph:
 
 
 def power_graph(g: FiniteGroup) -> PowerGraph:
-    """Power graph on all of g, one vertex per element, identity at vertex 0."""
+    """Power graph on all of g, one vertex per element, identity at vertex 0.
+
+    Elements generating the same cyclic subgroup D are closed twins, so the
+    graph is the poset of cyclic subgroups with each D blown up into a clique
+    of its generators. A class reaches its own generators and those of every
+    class comparable with it; every C contained in D is <x> for some x in D.
+    """
     n = g.order
-    orders = g.element_order
     closures = g.cyclic_closure
-    rows = [0] * n
-    for i in range(n):
-        oi = orders[i]
-        ci = closures[i]
-        for j in range(i + 1, n):
-            oj = orders[j]
-            # <x> is contained in <y> iff x lies in <y>; testing order
-            # divisibility first skips most membership probes.
-            if oi % oj == 0:
-                adjacent = j in ci
-            elif oj % oi == 0:
-                adjacent = i in closures[j]
-            else:
-                continue
-            if adjacent:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+    generators: dict[frozenset[int], int] = {}
+    for i, c in enumerate(closures):
+        generators[c] = generators.get(c, 0) | 1 << i
+    reach = dict(generators)
+    for d, d_mask in generators.items():
+        for c in {closures[x] for x in d}:
+            if len(c) < len(d):
+                reach[c] |= d_mask
+                reach[d] |= generators[c]
+    rows = [reach[c] ^ 1 << i for i, c in enumerate(closures)]
     names = [g.element_repr(i) for i in range(n)]
     return PowerGraph(f"P({g.name})", rows, list(range(n)), names, True)
 

@@ -1,8 +1,10 @@
 import json
+import sys
+import time
 
 import pytest
 
-from powertree.cli import main
+from powertree.cli import _decimal, main
 from powertree.errors import ParseError
 from powertree.groups import GroupSpec, build
 from powertree.specparse import parse_group_spec
@@ -156,6 +158,44 @@ def test_cmd_kappa_closed_form_unfactored_middle_determinant(capsys):
     assert payload["method"] == "closed-form"
     expected = quotient_kappa(build(GroupSpec("cyclic", (420,))), reduced=True)
     assert int(payload["kappa"]) == expected.value
+
+
+def test_cmd_kappa_closed_form_checks_cap_first(capsys):
+    # Z_p with p = 10^9 + 7: the closed form would raise n+1 to the power p-1
+    start = time.perf_counter()
+    argv = ["kappa", "cyclic:1000000007", "--method", "closed-form"]
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    assert "cap" in capsys.readouterr().err
+
+
+def test_cmd_kappa_beyond_int_str_digit_limit(capsys):
+    # kappa(Z_1500) has more decimal digits than str() renders by default
+    assert main(["kappa", "cyclic:1500", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = quotient_kappa(build(GroupSpec("cyclic", (1500,)))).value
+    assert len(payload["kappa"]) > sys.get_int_max_str_digits() > 0
+    assert payload["kappa"] == _decimal(expected)
+
+
+def _parse_chunked(text):
+    """Inverse of _decimal that never hands int() more than 1000 digits."""
+    digits = text.lstrip("-")
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k : k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if text.startswith("-") else value
+
+
+def test_decimal_past_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    for value in (10**limit, 10 ** (3 * limit) - 1, -(3**20000), 2**40000 + 12345):
+        text = _decimal(value)
+        assert text.lstrip("-")[0] != "0"
+        assert _parse_chunked(text) == value
+    for value in (0, 7, -12, 10**100 + 1):
+        assert _decimal(value) == str(value)
 
 
 def test_cmd_kappa_deterministic_output(capsys):

@@ -211,10 +211,9 @@ def test_perm_degree_cap():
         _build("alt:9")
 
 
-def test_lazy_oracle_regime_above_table_limit():
-    g = _build("sym:7")  # 5040 > table limit, multiplication stays lazy
+def test_oracle_multiplication_sym7():
+    g = _build("sym:7")
     assert g.order == 5040
-    assert g._table is None
     assert max(g.element_order) == 12  # lcm(3, 4) from a 3-cycle times a 4-cycle
     assert sorted(set(g.element_order)) == [1, 2, 3, 4, 5, 6, 7, 10, 12]
     for a in (0, 7, 919, 5039):
@@ -222,7 +221,7 @@ def test_lazy_oracle_regime_above_table_limit():
         assert g.multiply(g.inverse(a), a) == 0
 
 
-@pytest.mark.parametrize("spec", ["sym:5", "sym:7"])
+@pytest.mark.parametrize("spec", ["sym:5", "sym:7", "product:(sym:5)x(cyclic:12)"])
 def test_group_axioms_sampled_above_64(spec):
     import random
 

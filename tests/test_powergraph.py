@@ -22,6 +22,52 @@ def _graph(text, reduced=False):
     return reduced_power_graph(g) if reduced else power_graph(g)
 
 
+def _pairwise_rows(g, reduced=False):
+    """Reference adjacency: x ~ y iff x lies in <y> or y lies in <x>, pair by pair."""
+    closures = g.cyclic_closure
+    first = 1 if reduced else 0
+    rows = [0] * (g.order - first)
+    for i in range(first, g.order):
+        for j in range(i + 1, g.order):
+            if i in closures[j] or j in closures[i]:
+                rows[i - first] |= 1 << (j - first)
+                rows[j - first] |= 1 << (i - first)
+    return rows
+
+
+def _bitwise_edges(graph):
+    """Reference edge list: every pair u < v whose bit is set, in order."""
+    n = graph.vertex_count
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if graph.rows[u] >> v & 1]
+
+
+# the non-reduced catalog-dense benchmark groups, all of order <= 168
+ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 61)] + [
+    "cyclic:120", "cyclic:168", "dihedral:30", "dihedral:60", "dihedral:84",
+    "quaternion:15", "quaternion:30", "quaternion:32", "alt:4", "alt:5",
+    "sym:4", "sym:5", "elemabelian:3^4", "elemabelian:5^3",
+    "semidirect:13:3", "semidirect:31:5", "product:(sym:4)x(cyclic:6)",
+    "product:(alt:4)x(cyclic:5)", "product:(quaternion:2)x(cyclic:9)",
+    "product:(cyclic:6)x(cyclic:6)", "perm:6:(1 2 3);(4 5 6);(2 3)(5 6)",
+]
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_power_graph_rows_match_pairwise_rule(text):
+    g = build(parse_group_spec(text))
+    assert power_graph(g).rows == _pairwise_rows(g)
+    if g.order >= 2:
+        assert reduced_power_graph(g).rows == _pairwise_rows(g, reduced=True)
+
+
+@pytest.mark.parametrize(
+    "text", ["cyclic:12", "cyclic:60", "dihedral:30", "quaternion:15", "sym:5"]
+)
+def test_edges_match_bitwise_pairs(text):
+    for graph in (_graph(text), _graph(text, reduced=True)):
+        assert list(graph.edges()) == _bitwise_edges(graph)
+
+
 def _components(graph):
     """Connected components as sorted vertex tuples."""
     n = graph.vertex_count

@@ -1,11 +1,13 @@
 """Property checks on random permutation groups of degree <= 5.
 
-Every route must give the same count, and every command line must end in
-an exit code rather than an exception escaping `main`.
+Every route must give the same count, the power graph must follow the
+pairwise containment rule, and every command line must end in an exit code
+rather than an exception escaping `main`.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_powergraph import _pairwise_rows
 
 from powertree.cli import main
 from powertree.groups import GroupSpec, build
@@ -27,6 +29,15 @@ def test_quotient_matches_determinant_on_random_perm_groups(spec):
     assert quotient_kappa(g) == temperley_kappa(power_graph(g))
     if g.order >= 2:
         assert quotient_kappa(g, reduced=True) == temperley_kappa(reduced_power_graph(g))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(perm_specs())
+def test_power_graph_rows_match_pairwise_rule_on_random_perm_groups(spec):
+    g = build(spec)
+    assert power_graph(g).rows == _pairwise_rows(g)
+    if g.order >= 2:
+        assert reduced_power_graph(g).rows == _pairwise_rows(g, reduced=True)
 
 
 @settings(max_examples=30, deadline=None, database=None)
