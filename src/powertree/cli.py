@@ -13,7 +13,6 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from math import factorial
 
 from . import classify as classify_mod
 from . import closedform, table1
@@ -35,7 +34,7 @@ from .errors import (
     TrivialGroup,
     UnsupportedOrder,
 )
-from .groups import GroupSpec, _check_cap, build
+from .groups import FiniteGroup, GroupSpec, build, max_order
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
@@ -83,49 +82,6 @@ class OutputRecord:
         return payload
 
 
-def _spec_name(spec: GroupSpec) -> str:
-    k, p = spec.kind, spec.params
-    if k == "cyclic":
-        return f"Z_{p[0]}"
-    if k == "dihedral":
-        return f"D_{2 * p[0]}"
-    if k == "quaternion":
-        return f"Q_{4 * p[0]}"
-    if k == "elemabelian":
-        return f"Z_{p[0]}" if p[1] == 1 else f"Z_{p[0]}^{p[1]}"
-    if k == "sym":
-        return f"S_{p[0]}"
-    if k == "alt":
-        return f"A_{p[0]}"
-    if k == "semidirect":
-        return f"Z_{p[0]}⋊Z_{p[1]}"
-    if k == "product":
-        return "×".join(_spec_name(f) for f in spec.factors)
-    return spec.render()
-
-
-def _spec_order(spec: GroupSpec) -> int | None:
-    k, p = spec.kind, spec.params
-    if k == "cyclic":
-        return p[0]
-    if k == "dihedral":
-        return 2 * p[0]
-    if k == "quaternion":
-        return 4 * p[0]
-    if k == "elemabelian":
-        return p[0] ** p[1]
-    if k == "sym":
-        return factorial(p[0])
-    if k == "alt":
-        return max(1, factorial(p[0]) // 2)
-    if k == "semidirect":
-        return p[0] * p[1]
-    if k == "product":
-        orders = [_spec_order(f) for f in spec.factors]
-        return None if None in orders else orders[0] * orders[1]
-    return None
-
-
 def _decimal(value: int) -> str:
     """Decimal digits of value, also past the interpreter's int-to-str limit.
 
@@ -149,7 +105,7 @@ def _rendered(result: TreeNumber) -> tuple[str, str]:
     return kappa, kappa if result.factorization is None else result.factored()
 
 
-def _closed_form(spec: GroupSpec, reduced: bool) -> TreeNumber | None:
+def _closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber | None:
     """Formula-based count when one applies to this family, else None."""
     k, p = spec.kind, spec.params
     if k == "cyclic":
@@ -171,7 +127,7 @@ def _closed_form(spec: GroupSpec, reduced: bool) -> TreeNumber | None:
     if k == "semidirect":
         return closedform.kappa_semidirect_pq(*p)
     try:
-        return closedform.kappa_epo(build(spec))
+        return closedform.kappa_epo(g)
     except NotEPO:
         return None
 
@@ -180,13 +136,11 @@ def _compute_record(
     spec: GroupSpec, method: str, reduced: bool, fallback: bool = True
 ) -> OutputRecord | None:
     start = time.perf_counter()
+    # the builder checks the order cap, before any formula raises to powers near it
+    g = build(spec)
     used = method
     if method == "closed-form":
-        g_order = _spec_order(spec)
-        if g_order is not None:
-            # the formulas raise to powers near the order: cap before any bigint work
-            _check_cap(g_order, _spec_name(spec))
-        result = _closed_form(spec, reduced)
+        result = _closed_form(spec, g, reduced)
         if result is None:
             if not fallback:
                 return None
@@ -196,28 +150,19 @@ def _compute_record(
                 file=sys.stderr,
             )
             used = "quotient"
-        else:
-            if g_order is None:
-                g_order = build(spec).order
-            kappa, factorization = _rendered(result)
-            return OutputRecord(
-                group=_spec_name(spec),
-                order=g_order,
-                method="closed-form",
-                kappa=kappa,
-                factorization=factorization,
-                reduced=reduced,
-                elapsed_ms=(time.perf_counter() - start) * 1000,
-            )
-    g = build(spec)
     if used == "quotient":
         result = quotient_kappa(g, reduced)
-    else:
+    elif used != "closed-form":
         graph = reduced_power_graph(g) if reduced else power_graph(g)
-        if used == "decomposition":
-            result = block_decomposition_kappa(graph)
-        else:
+        if used == "matrix-tree":
             result = temperley_kappa(graph)
+        else:
+            try:
+                result = block_decomposition_kappa(graph)
+            except Disconnected:
+                # block products are undefined on disconnected reduced graphs;
+                # the count is 0 there by convention
+                result = TreeNumber(0)
     kappa, factorization = _rendered(result)
     return OutputRecord(
         group=g.name,
@@ -239,22 +184,7 @@ def cmd_kappa(args) -> int:
     )
     records = []
     for method in methods:
-        try:
-            record = _compute_record(
-                spec, method, args.reduced, fallback=args.method != "all"
-            )
-        except Disconnected:
-            # block products are undefined on disconnected reduced graphs;
-            # the count is 0 there by convention
-            record = OutputRecord(
-                group=_spec_name(spec),
-                order=_spec_order(spec) or build(spec).order,
-                method=method,
-                kappa="0",
-                factorization="0",
-                reduced=args.reduced,
-                elapsed_ms=0.0,
-            )
+        record = _compute_record(spec, method, args.reduced, fallback=args.method != "all")
         if record is not None:
             records.append(record)
     values = {r.kappa for r in records}
@@ -308,6 +238,9 @@ def _verify_single(n: int) -> tuple[int, str | None]:
 def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise OutOfRange("--max-n must be >= 1")
+    cap = max_order()
+    if args.max_n > cap:
+        raise UnsupportedOrder(f"--max-n {args.max_n} > order cap {cap}")
     values = range(1, args.max_n + 1)
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:

@@ -2,8 +2,9 @@
 
 Every group is materialized on indices 0..order-1 with index 0 the identity.
 A group keeps one representation: its element list, the index of each element,
-and the multiplication oracle on elements. No Cayley table is built; the power
-graph and the tree counts read only the cyclic closures computed from it.
+and the multiplication oracle on elements. No Cayley table is built. The group
+also owns its partition into cyclic subgroups, found with one power walk per
+cyclic subgroup; the power graph and the tree counts read only that partition.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, gcd
 
 from .errors import InvalidSpec, NotPrime, UnsupportedOrder
 from .numutil import is_prime
@@ -114,8 +115,10 @@ def perm_parity(perm: tuple[int, ...]) -> int:
 class FiniteGroup:
     """Immutable finite group with elements indexed 0..order-1, 0 = identity.
 
-    element_order[i] is the order of element i; cyclic_closure[i] is the
-    index set of the cyclic subgroup generated by element i.
+    cyclic_subgroups lists each cyclic subgroup once as an index set, the
+    identity's {0} first; cyclic_class[i] is the position in that list of
+    <i>, and cyclic_closure[i] is that same frozenset object. Elements of one
+    class are the phi(|C|) generators of C. element_order[i] is |<i>|.
     """
 
     __slots__ = (
@@ -123,6 +126,8 @@ class FiniteGroup:
         "order",
         "element_order",
         "cyclic_closure",
+        "cyclic_subgroups",
+        "cyclic_class",
         "_elements",
         "_index",
         "_mul_raw",
@@ -141,7 +146,25 @@ class FiniteGroup:
         for i in {1, self.order - 1, self.order // 2} & set(range(self.order)):
             if self.multiply(0, i) != i or self.multiply(i, 0) != i:
                 raise InvalidSpec(f"element 0 of {name} is not the identity")
-        self.cyclic_closure = [self._closure(i) for i in range(self.order)]
+        subgroups: list[frozenset[int]] = []
+        cls = [-1] * self.order
+        for x in range(self.order):
+            if cls[x] != -1:
+                continue
+            powers = [0]  # powers[k] = x^k
+            y = x
+            while y != 0:
+                powers.append(y)
+                y = self.multiply(y, x)
+            m = len(powers)
+            # x^k generates <x> exactly when gcd(k, m) = 1 (k = 0 only for m = 1)
+            for k in range(m):
+                if gcd(k, m) == 1:
+                    cls[powers[k]] = len(subgroups)
+            subgroups.append(frozenset(powers))
+        self.cyclic_subgroups = subgroups
+        self.cyclic_class = cls
+        self.cyclic_closure = [subgroups[c] for c in cls]
         self.element_order = [len(c) for c in self.cyclic_closure]
 
     def multiply(self, a: int, b: int) -> int:
@@ -153,14 +176,6 @@ class FiniteGroup:
             if self.multiply(a, b) == 0:
                 return b
         raise InvalidSpec(f"no inverse for element {a} of {self.name}")
-
-    def _closure(self, x: int) -> frozenset[int]:
-        members = {0}
-        y = x
-        while y != 0:
-            members.add(y)
-            y = self.multiply(y, x)
-        return frozenset(members)
 
     def element_repr(self, i: int) -> str:
         if self._reprs is not None:
@@ -390,7 +405,4 @@ def count_cyclic_subgroups(g: FiniteGroup, p: int) -> int:
     """Number of distinct cyclic subgroups of prime order p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    subgroups = {
-        g.cyclic_closure[i] for i in range(g.order) if g.element_order[i] == p
-    }
-    return len(subgroups)
+    return sum(1 for c in g.cyclic_subgroups if len(c) == p)

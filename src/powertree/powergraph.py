@@ -61,17 +61,16 @@ def power_graph(g: FiniteGroup) -> PowerGraph:
     class comparable with it; every C contained in D is <x> for some x in D.
     """
     n = g.order
-    closures = g.cyclic_closure
-    generators: dict[frozenset[int], int] = {}
-    for i, c in enumerate(closures):
-        generators[c] = generators.get(c, 0) | 1 << i
-    reach = dict(generators)
-    for d, d_mask in generators.items():
-        for c in {closures[x] for x in d}:
-            if len(c) < len(d):
-                reach[c] |= d_mask
-                reach[d] |= generators[c]
-    rows = [reach[c] ^ 1 << i for i, c in enumerate(closures)]
+    cls = g.cyclic_class
+    generators = [0] * len(g.cyclic_subgroups)
+    for i, c in enumerate(cls):
+        generators[c] |= 1 << i
+    reach = list(generators)
+    for d, members in enumerate(g.cyclic_subgroups):
+        for c in {cls[x] for x in members} - {d}:
+            reach[c] |= generators[d]
+            reach[d] |= generators[c]
+    rows = [reach[c] ^ 1 << i for i, c in enumerate(cls)]
     names = [g.element_repr(i) for i in range(n)]
     return PowerGraph(f"P({g.name})", rows, list(range(n)), names, True)
 

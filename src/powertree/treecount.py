@@ -275,27 +275,16 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
         kappa = prod_C (d_C + 1)^(k_C - 1) * tau_W / prod_C k_C
 
     with tau_W the weighted tree count of that quotient. The reduced graph
-    drops the identity class. Only `group.cyclic_closure` is read; no power
-    graph is built.
+    drops the identity class. Only `group.cyclic_subgroups` and
+    `group.cyclic_class` are read; no power graph is built.
     """
     if reduced and group.order < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
-    closures = group.cyclic_closure
-    # class index of each element; class 0 is the identity's
-    cls = [-1] * group.order
-    subgroups: list[frozenset[int]] = []
-    sizes: list[int] = []
-    for x, closure in enumerate(closures):
-        if cls[x] != -1:
-            continue
-        c = len(subgroups)
-        subgroups.append(closure)
-        k = 0
-        for y in closure:
-            if len(closures[y]) == len(closure):
-                cls[y] = c
-                k += 1
-        sizes.append(k)
+    subgroups = group.cyclic_subgroups
+    cls = group.cyclic_class
+    sizes = [0] * len(subgroups)
+    for c in cls:
+        sizes[c] += 1
     drop = 1 if reduced else 0
     quotient = MultiGraph(len(sizes) - drop)
     # generators of strictly larger cyclic subgroups, per class

@@ -4,6 +4,7 @@ import time
 
 import pytest
 
+from powertree import closedform
 from powertree.cli import _decimal, main
 from powertree.errors import ParseError
 from powertree.groups import GroupSpec, build
@@ -143,6 +144,22 @@ def test_cmd_kappa_reduced_disconnected_all_methods(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perm:6:(1 2 3);(4 5 6)"],
+        ["perm:4:(1 2);(3 4)", "--reduced"],  # decomposition: Disconnected, 0
+        ["product:(cyclic:3)x(perm:3:(1 2))"],
+        ["semidirect:7:3"],
+    ],
+)
+def test_cmd_kappa_method_all_one_name_and_order(argv, capsys):
+    assert main(["kappa", *argv, "--method", "all", "--format", "json"]) == 0
+    records = json.loads(capsys.readouterr().out)
+    g = build(parse_group_spec(argv[0]))
+    assert {(r["group"], r["order"]) for r in records} == {(g.name, g.order)}
+
+
 def test_cmd_kappa_closed_form_fallback_notice(capsys):
     assert main(["kappa", "dihedral:4", "--reduced", "--method", "closed-form"]) == 0
     captured = capsys.readouterr()
@@ -164,6 +181,24 @@ def test_cmd_kappa_closed_form_checks_cap_first(capsys):
     # Z_p with p = 10^9 + 7: the closed form would raise n+1 to the power p-1
     start = time.perf_counter()
     argv = ["kappa", "cyclic:1000000007", "--method", "closed-form"]
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    assert "cap" in capsys.readouterr().err
+
+
+def test_cmd_kappa_at_the_order_cap(capsys):
+    for flags, formula in (
+        ([], closedform.kappa_cyclic),
+        (["--reduced"], closedform.kappa_cyclic_reduced),
+    ):
+        start = time.perf_counter()
+        assert main(["kappa", "cyclic:10000", "--format", "json", *flags]) == 0
+        assert time.perf_counter() - start < 5
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["kappa"] == _decimal(formula(10000).value)
+    # the closed-form route takes the cap from the builder
+    start = time.perf_counter()
+    argv = ["kappa", "product:(cyclic:10000)x(cyclic:2)", "--method", "closed-form"]
     assert main(argv) == 3
     assert time.perf_counter() - start < 5
     assert "cap" in capsys.readouterr().err
@@ -233,6 +268,13 @@ def test_cmd_table1(capsys):
 def test_cmd_verify(capsys):
     assert main(["verify", "--max-n", "12"]) == 0
     assert "all n up to 12 verified" in capsys.readouterr().out
+
+
+def test_cmd_verify_checks_cap_first(capsys):
+    start = time.perf_counter()
+    assert main(["verify", "--max-n", "20000"]) == 3
+    assert time.perf_counter() - start < 5
+    assert "cap" in capsys.readouterr().err
 
 
 def test_cmd_verify_parallel(capsys):

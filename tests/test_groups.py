@@ -69,6 +69,49 @@ def test_lagrange_and_closures(spec):
         assert g.order % g.element_order[i] == 0
 
 
+def _closures_by_multiply(g):
+    """<x> for every element x, by repeated multiplication."""
+    closures = []
+    for x in range(g.order):
+        members, y = {0}, x
+        while y != 0:
+            members.add(y)
+            y = g.multiply(y, x)
+        closures.append(frozenset(members))
+    return closures
+
+
+def _check_cyclic_partition(g):
+    """cyclic_subgroups/cyclic_class against per-element closures."""
+    closures = _closures_by_multiply(g)
+    subgroups, cls = g.cyclic_subgroups, g.cyclic_class
+    assert subgroups[0] == {0}
+    assert len(set(subgroups)) == len(subgroups)
+    for x in range(g.order):
+        assert subgroups[cls[x]] == closures[x]
+        assert subgroups[cls[x]] is g.cyclic_closure[x]
+        for y in range(g.order):
+            assert (cls[x] == cls[y]) == (closures[x] == closures[y])
+    members = Counter(cls)
+    for c, subgroup in enumerate(subgroups):
+        assert members[c] == phi(len(subgroup))
+
+
+PARTITION_SPECS = [f"cyclic:{n}" for n in range(1, 61)] + [
+    "dihedral:30",
+    "quaternion:15",
+    "sym:5",
+    "alt:5",
+    "elemabelian:3^3",
+    "product:(sym:4)x(cyclic:6)",
+]
+
+
+@pytest.mark.parametrize("spec", PARTITION_SPECS)
+def test_cyclic_partition_matches_closures(spec):
+    _check_cyclic_partition(_build(spec))
+
+
 def test_cyclic_6_order_profile():
     g = _build("cyclic:6")
     assert order_profile(g) == Counter({1: 1, 2: 1, 3: 2, 6: 2})

@@ -1,12 +1,14 @@
 """Property checks on random permutation groups of degree <= 5.
 
-Every route must give the same count, the power graph must follow the
-pairwise containment rule, and every command line must end in an exit code
+Every route must give the same count, the cyclic-subgroup partition must
+match per-element closures, the power graph must follow the pairwise
+containment rule, and every command line must end in an exit code
 rather than an exception escaping `main`.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_groups import _check_cyclic_partition
 from test_powergraph import _pairwise_rows
 
 from powertree.cli import main
@@ -38,6 +40,12 @@ def test_power_graph_rows_match_pairwise_rule_on_random_perm_groups(spec):
     assert power_graph(g).rows == _pairwise_rows(g)
     if g.order >= 2:
         assert reduced_power_graph(g).rows == _pairwise_rows(g, reduced=True)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(perm_specs())
+def test_cyclic_partition_matches_closures_on_random_perm_groups(spec):
+    _check_cyclic_partition(build(spec))
 
 
 @settings(max_examples=30, deadline=None, database=None)
