@@ -109,8 +109,7 @@ def _closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber |
     """Formula-based count when one applies to this family, else None."""
     k, p = spec.kind, spec.params
     if k == "cyclic":
-        n = p[0]
-        return closedform.kappa_cyclic_reduced(n) if reduced else closedform.kappa_cyclic(n)
+        return closedform.kappa_cyclic(p[0], reduced)
     if k == "dihedral":
         return None if reduced else closedform.kappa_dihedral(p[0])
     if k == "quaternion":
@@ -220,18 +219,13 @@ def cmd_table1(args) -> int:
 def _verify_single(n: int) -> tuple[int, str | None]:
     """Closed forms against determinants for Z_n; returns (n, failure or None)."""
     g = build(GroupSpec("cyclic", (n,)))
-    closed = closedform.kappa_cyclic(n).value
-    direct = temperley_kappa(power_graph(g)).value
-    if closed != direct:
-        return n, f"kappa(Z_{n}): closed form {closed} != matrix-tree {direct}"
-    if n >= 2:
-        closed_r = closedform.kappa_cyclic_reduced(n).value
-        direct_r = temperley_kappa(reduced_power_graph(g)).value
-        if closed_r != direct_r:
-            return n, (
-                f"kappa(Z_{n} reduced): closed form {closed_r} != "
-                f"matrix-tree {direct_r}"
-            )
+    for reduced in (False, True) if n > 1 else (False,):
+        closed = closedform.kappa_cyclic(n, reduced).value
+        graph = reduced_power_graph(g) if reduced else power_graph(g)
+        direct = temperley_kappa(graph).value
+        if closed != direct:
+            name = f"Z_{n} reduced" if reduced else f"Z_{n}"
+            return n, f"kappa({name}): closed form {closed} != matrix-tree {direct}"
     return n, None
 
 

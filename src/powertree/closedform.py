@@ -1,10 +1,12 @@
 """Closed-form tree counts for cyclic, dihedral, dicyclic and EPO groups.
 
-The cyclic formulas reduce the n x n ones-plus-Laplacian determinant to a
+The cyclic formula reduces the n x n ones-plus-Laplacian determinant to a
 determinant indexed by the middle divisors of n (all divisors except n and 1),
 with the incomparability graph of those divisors supplying the off-diagonal
-pattern. Everything is evaluated in exact integer or rational arithmetic and
-the final divisions are checked for exactness.
+pattern. One body serves the full and the identity-deleted graph: deleting
+the identity lowers every degree by one and drops the identity's factor.
+Everything is evaluated in exact integer or rational arithmetic and the
+final divisions are checked for exactness.
 """
 
 from __future__ import annotations
@@ -36,20 +38,13 @@ class DivisorProfile:
     """Per-divisor data for the power graph of Z_n.
 
     divisors descend from n to 1. degrees[i] is the common degree of the
-    phi(divisors[i]) elements of that order; deg_plus_one[i] is the matching
-    diagonal entry of the ones-plus-Laplacian. The ratio lists cover middle
-    divisors only (indices 1..k-2).
+    totients[i] = phi(divisors[i]) elements of that order.
     """
 
     n: int
     divisors: tuple[int, ...]
     totients: tuple[int, ...]
     degrees: tuple[int, ...]
-    deg_plus_one: tuple[int, ...]
-    full_ratios: tuple[Fraction, ...]
-    reduced_ratios: tuple[Fraction, ...]
-    full_ratio_product: Fraction
-    reduced_ratio_product: Fraction
 
     @property
     def middle(self) -> tuple[int, ...]:
@@ -79,21 +74,7 @@ def divisor_profile(n: int) -> DivisorProfile:
     if sum(tots) != n:
         raise DiscrepancyDetected(f"totients of divisors of {n} do not sum to {n}")
     degs = tuple(degree_in_cyclic(n, n // d % n) for d in divs)
-    mvals = tuple(d + 1 for d in degs)
-    k = len(divs)
-    full = tuple(Fraction(mvals[i], tots[i]) for i in range(1, k - 1))
-    red = tuple(Fraction(degs[i], tots[i]) for i in range(1, k - 1))
-    return DivisorProfile(
-        n=n,
-        divisors=divs,
-        totients=tots,
-        degrees=degs,
-        deg_plus_one=mvals,
-        full_ratios=full,
-        reduced_ratios=red,
-        full_ratio_product=prod(full, start=Fraction(1)),
-        reduced_ratio_product=prod(red, start=Fraction(1)),
-    )
+    return DivisorProfile(n=n, divisors=divs, totients=tots, degrees=degs)
 
 
 def divisor_graph(n: int) -> DivisorGraph:
@@ -163,89 +144,75 @@ def _factored_quotient(
     return {p: e for p, e in acc.items() if e > 0}
 
 
-def kappa_cyclic(n: int) -> TreeNumber:
-    """Tree count of the power graph of Z_n, by the middle-divisor determinant."""
+def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
+    """Tree count of the power graph of Z_n, by the middle-divisor determinant.
+
+    The diagonal is d + 1 per divisor, d its degree, and the square is n.
+    With `reduced` the identity is deleted first: the diagonal is d, the
+    identity (divisor 1, the last) leaves the bases and the square is n - 1.
+    """
+    if reduced and n < 2:
+        raise TrivialGroup("reduced tree count needs n >= 2")
+    drop = 1 if reduced else 0
     prof = divisor_profile(n)
     k = len(prof.divisors)
-    det = _middle_determinant(prof, prof.deg_plus_one)
-    num = prod(m**t for m, t in zip(prof.deg_plus_one, prof.totients)) * det
-    den = prod(prof.deg_plus_one[1 : k - 1]) * n * n
-    value, rem = divmod(num, den)
-    if rem:
-        raise DiscrepancyDetected(f"kappa(Z_{n}) division not exact")
-    factors = _factored_quotient(
-        list(zip(prof.deg_plus_one, prof.totients)),
-        det,
-        prof.deg_plus_one[1 : k - 1],
-        n,
+    diagonal = tuple(d + 1 - drop for d in prof.degrees)
+    bases = list(zip(diagonal, prof.totients))[: k - drop]
+    middle = diagonal[1 : k - 1]
+    square = n - drop
+    det = _middle_determinant(prof, diagonal)
+    value, rem = divmod(
+        prod(b**t for b, t in bases) * det, prod(middle) * square * square
     )
-    return TreeNumber(value, factors)
+    if rem:
+        name = f"Z_{n} reduced" if reduced else f"Z_{n}"
+        raise DiscrepancyDetected(f"kappa({name}) division not exact")
+    return TreeNumber(value, _factored_quotient(bases, det, middle, square))
 
 
 def kappa_cyclic_reduced(n: int) -> TreeNumber:
     """Tree count of the power graph of Z_n with the identity deleted."""
-    if n < 2:
-        raise TrivialGroup("reduced tree count needs n >= 2")
-    prof = divisor_profile(n)
-    k = len(prof.divisors)
-    det = _middle_determinant(prof, prof.degrees)
-    num = prod(
-        prof.degrees[i] ** prof.totients[i] for i in range(k - 1)
-    ) * det
-    den = prod(prof.degrees[1 : k - 1]) * (n - 1) * (n - 1)
-    value, rem = divmod(num, den)
-    if rem:
-        raise DiscrepancyDetected(f"kappa(Z_{n} reduced) division not exact")
-    factors = _factored_quotient(
-        [(prof.degrees[i], prof.totients[i]) for i in range(k - 1)],
-        det,
-        prof.degrees[1 : k - 1],
-        n - 1,
-    )
-    return TreeNumber(value, factors)
-
-
-def _subset_expansion(prof: DivisorProfile, ratios, ratio_product, outer, square):
-    """Literal sum over induced subgraphs of the middle incomparability graph."""
-    divs = prof.divisors
-    mids = list(range(1, len(divs) - 1))
-    total = Fraction(0)
-    m = len(mids)
-    for mask in range(1 << m):
-        inside = [i for i in range(m) if mask >> i & 1]
-        sub = [
-            [
-                0 if a == b else int(not _comparable(divs[mids[a]], divs[mids[b]]))
-                for b in inside
-            ]
-            for a in inside
-        ]
-        det_a = exact_integer_determinant(sub)
-        if det_a == 0:
-            continue
-        outside = prod(
-            (ratios[i] for i in range(m) if not mask >> i & 1),
-            start=Fraction(1),
-        )
-        total += det_a * outside
-    kappa = Fraction(outer) * total / (ratio_product * square * square)
-    if kappa.denominator != 1:
-        raise DiscrepancyDetected("subset expansion did not divide exactly")
-    return TreeNumber(kappa.numerator)
+    return kappa_cyclic(n, reduced=True)
 
 
 def kappa_cyclic_expansion(n: int) -> TreeNumber:
-    """Tree count of P(Z_n) by explicit subset summation; equals kappa_cyclic."""
+    """Tree count of P(Z_n) by explicit subset summation; equals kappa_cyclic.
+
+    Each middle row of the determinant is divided by its totient, leaving
+    the ratio r = (d + 1)/phi on the diagonal and the incomparability
+    adjacency A off it. Expanding over the induced subgraphs S of A gives
+    det = sum_S det A[S] * prod_{i not in S} r_i, up to those totients.
+    """
     middle = len(divisors(n)) - 2
     if middle > EXPANSION_LIMIT:
         raise TooManyDivisors(
             f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
         )
     prof = divisor_profile(n)
-    outer = prod(m**t for m, t in zip(prof.deg_plus_one, prof.totients))
-    return _subset_expansion(
-        prof, prof.full_ratios, prof.full_ratio_product, outer, n
-    )
+    mids = prof.middle
+    ratios = [
+        Fraction(d + 1, t) for d, t in zip(prof.degrees[1:-1], prof.totients[1:-1])
+    ]
+    total = Fraction(0)
+    # n = 1 has no middle divisors, and then only the empty subset
+    for mask in range(1 << len(mids)):
+        inside = [i for i in range(len(mids)) if mask >> i & 1]
+        sub = [
+            [0 if a == b else int(not _comparable(mids[a], mids[b])) for b in inside]
+            for a in inside
+        ]
+        det_a = exact_integer_determinant(sub)
+        if det_a == 0:
+            continue
+        outside = prod(
+            (r for i, r in enumerate(ratios) if not mask >> i & 1), start=Fraction(1)
+        )
+        total += det_a * outside
+    outer = prod((d + 1) ** t for d, t in zip(prof.degrees, prof.totients))
+    kappa = outer * total / (prod(ratios, start=Fraction(1)) * n * n)
+    if kappa.denominator != 1:
+        raise DiscrepancyDetected("subset expansion did not divide exactly")
+    return TreeNumber(kappa.numerator)
 
 
 def kappa_pq(p: int, q: int, reduced: bool = False) -> TreeNumber:
@@ -290,7 +257,7 @@ def kappa_quaternion_reduced(n: int) -> TreeNumber:
     The unique involution is a cut vertex joining n triangles to the reduced
     graph of the rotation subgroup Z_2n, so the count is 3^n times that one.
     """
-    base = kappa_cyclic_reduced(2 * n)
+    base = kappa_cyclic(2 * n, reduced=True)
     factors = None
     if base.factorization is not None:
         factors = dict(base.factorization)

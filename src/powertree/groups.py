@@ -95,23 +95,6 @@ def _cycle_notation(perm: tuple[int, ...]) -> str:
     return "".join(cycles) if cycles else "()"
 
 
-def perm_parity(perm: tuple[int, ...]) -> int:
-    """+1 for even permutations, -1 for odd."""
-    seen = [False] * len(perm)
-    sign = 1
-    for i in range(len(perm)):
-        if seen[i]:
-            continue
-        j, length = i, 0
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            length += 1
-        if length % 2 == 0:
-            sign = -sign
-    return sign
-
-
 class FiniteGroup:
     """Immutable finite group with elements indexed 0..order-1, 0 = identity.
 

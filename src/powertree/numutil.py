@@ -152,14 +152,6 @@ def p_part(n: int, p: int) -> int:
     return result
 
 
-def is_power_of(n: int, base: int) -> bool:
-    if n < 1:
-        return False
-    while n % base == 0:
-        n //= base
-    return n == 1
-
-
 def format_factored(factors: dict[int, int] | None, value: int | None = None) -> str:
     """Render {2: 14, 3: 6, 5: 1, 131: 1} as '2^14*3^6*5*131'.
 

@@ -20,16 +20,13 @@ CLIQUE_SEARCH_LIMIT = 512
 class PowerGraph:
     """Simple undirected graph on group elements with bitmask adjacency rows."""
 
-    __slots__ = ("vertex_count", "rows", "vertex_labels", "vertex_names",
-                 "includes_identity", "name")
+    __slots__ = ("vertex_count", "rows", "vertex_names", "name")
 
-    def __init__(self, name, rows, vertex_labels, vertex_names, includes_identity):
+    def __init__(self, name, rows, vertex_names):
         self.name = name
         self.vertex_count = len(rows)
         self.rows = rows
-        self.vertex_labels = vertex_labels
         self.vertex_names = vertex_names
-        self.includes_identity = includes_identity
 
     def is_adjacent(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -72,7 +69,7 @@ def power_graph(g: FiniteGroup) -> PowerGraph:
             reach[d] |= generators[c]
     rows = [reach[c] ^ 1 << i for i, c in enumerate(cls)]
     names = [g.element_repr(i) for i in range(n)]
-    return PowerGraph(f"P({g.name})", rows, list(range(n)), names, True)
+    return PowerGraph(f"P({g.name})", rows, names)
 
 
 def reduced_power_graph(g: FiniteGroup) -> PowerGraph:
@@ -81,9 +78,7 @@ def reduced_power_graph(g: FiniteGroup) -> PowerGraph:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
     full = power_graph(g)
     rows = [full.rows[i] >> 1 for i in range(1, full.vertex_count)]
-    labels = full.vertex_labels[1:]
-    names = full.vertex_names[1:]
-    return PowerGraph(f"P({g.name}#)", rows, labels, names, False)
+    return PowerGraph(f"P({g.name}#)", rows, full.vertex_names[1:])
 
 
 def degree_in_cyclic(n: int, m: int) -> int:

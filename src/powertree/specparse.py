@@ -3,7 +3,8 @@
     cyclic:N  dihedral:N  quaternion:N  elemabelian:P^K  sym:M  alt:M
     semidirect:P:Q  product:(SPEC)x(SPEC)  perm:D:CYCLES;CYCLES
 
-Cycle notation is 1-based and whitespace-insensitive, e.g. "(1 2 3)(4 5)".
+Integers are ASCII digits 0-9. Cycle notation is 1-based and
+whitespace-insensitive, e.g. "(1 2 3)(4 5)".
 GroupSpec.render() produces canonical text that parses back to an equal spec.
 """
 
@@ -47,7 +48,9 @@ class _Scanner:
     def read_int(self, what: str) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        # ASCII only: str.isdigit() also takes '²', '①' and '٣', which int()
+        # either rejects untyped or reads as another number
+        while self.pos < len(self.text) and self.text[self.pos] in "0123456789":
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"missing {what}", start, "an integer")

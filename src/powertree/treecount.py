@@ -115,15 +115,6 @@ class MultiGraph:
     def degree(self, v: int) -> int:
         return sum(m for (a, b), m in self._mult.items() if a == v or b == v)
 
-    def neighbors(self, v: int) -> list[int]:
-        out = []
-        for a, b in self._mult:
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return out
-
     def is_connected(self) -> bool:
         n = self.vertex_count
         if n <= 1:
@@ -424,20 +415,22 @@ def deletion_contraction_kappa(graph) -> TreeNumber:
     return TreeNumber(rec(g))
 
 
-def _biconnected_blocks(g: MultiGraph) -> list[list[tuple[int, int]]]:
-    """Blocks as lists of edge instances, via an iterative lowpoint DFS."""
+def _biconnected_blocks(g: MultiGraph) -> list[list[tuple[int, int, int]]]:
+    """Blocks as lists of (u, v, multiplicity), via an iterative lowpoint DFS.
+
+    Parallel edges never separate a block, so each distinct edge is walked
+    once under one edge id and keeps its multiplicity.
+    """
     n = g.vertex_count
-    instances: list[tuple[int, int]] = []
-    for u, v, m in g.edges():
-        instances.extend([(u, v)] * m)
+    edges = g.edges()
     adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for eid, (u, v) in enumerate(instances):
+    for eid, (u, v, _) in enumerate(edges):
         adj[u].append((v, eid))
         adj[v].append((u, eid))
     disc = [-1] * n
     low = [0] * n
     edge_stack: list[int] = []
-    blocks: list[list[tuple[int, int]]] = []
+    blocks: list[list[tuple[int, int, int]]] = []
     timer = 0
     for root in range(n):
         if disc[root] != -1:
@@ -471,7 +464,7 @@ def _biconnected_blocks(g: MultiGraph) -> list[list[tuple[int, int]]]:
                     block = []
                     while True:
                         eid = edge_stack.pop()
-                        block.append(instances[eid])
+                        block.append(edges[eid])
                         if eid == pe:
                             break
                     blocks.append(block)
@@ -483,7 +476,8 @@ def block_decomposition_kappa(graph, inner=None) -> TreeNumber:
 
     Deleting a cut vertex splits the count multiplicatively; iterating that
     over the whole block tree lets `inner` (default the determinant route)
-    handle each block in isolation. Cut edges are K_2 blocks contributing 1.
+    handle each block in isolation. A cut edge of multiplicity m is a K_2
+    block contributing m.
     """
     if inner is None:
         inner = temperley_kappa
@@ -492,10 +486,10 @@ def block_decomposition_kappa(graph, inner=None) -> TreeNumber:
         raise Disconnected("block decomposition needs a connected graph")
     result = TreeNumber(1, {})
     for block in _biconnected_blocks(g):
-        verts = sorted({x for e in block for x in e})
+        verts = sorted({x for u, v, _ in block for x in (u, v)})
         pos = {x: i for i, x in enumerate(verts)}
         sub = MultiGraph(len(verts))
-        for u, v in block:
-            sub.add_edge(pos[u], pos[v])
+        for u, v, m in block:
+            sub.add_edge(pos[u], pos[v], m)
         result = result * inner(sub)
     return result

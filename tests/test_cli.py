@@ -244,7 +244,7 @@ def test_cmd_kappa_discrepancy_exit_code(monkeypatch, capsys):
     from powertree import closedform
     from powertree.treecount import TreeNumber
 
-    monkeypatch.setattr(closedform, "kappa_cyclic", lambda n: TreeNumber(1))
+    monkeypatch.setattr(closedform, "kappa_cyclic", lambda n, reduced=False: TreeNumber(1))
     assert main(["kappa", "cyclic:6", "--method", "all"]) == 1
     assert "discrepancy" in capsys.readouterr().err
 
@@ -252,6 +252,12 @@ def test_cmd_kappa_discrepancy_exit_code(monkeypatch, capsys):
 def test_cmd_kappa_parse_error_exit(capsys):
     assert main(["kappa", "nosuch:3"]) == 2
     assert main(["kappa", "cyclic:1", "--reduced"]) == 2
+    # str.isdigit() takes these digits; int() rejects the first two untyped
+    # and reads the third as 2203, which builds Q_8812
+    for text in ("cyclic:1\u00b2", "dihedral:\u2460", "quaternion:220\u0663"):
+        start = time.perf_counter()
+        assert main(["kappa", text]) == 2
+        assert time.perf_counter() - start < 5
 
 
 def test_cmd_kappa_resource_exit(capsys):
@@ -268,6 +274,26 @@ def test_cmd_table1(capsys):
 def test_cmd_verify(capsys):
     assert main(["verify", "--max-n", "12"]) == 0
     assert "all n up to 12 verified" in capsys.readouterr().out
+
+
+def test_cmd_verify_reports_failure(monkeypatch, capsys):
+    from powertree.treecount import TreeNumber
+
+    real = closedform.kappa_cyclic
+
+    def wrong_when(flag):
+        def kappa_cyclic(n, reduced=False):
+            value = real(n, reduced)
+            return TreeNumber(value.value + 1) if reduced == flag else value
+        return kappa_cyclic
+
+    # one job: a monkeypatch does not reach pool workers
+    monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(True))
+    assert main(["verify", "--max-n", "6", "--jobs", "1"]) == 1
+    assert "FAIL: kappa(Z_2 reduced): closed form 2 != matrix-tree 1" in capsys.readouterr().out
+    monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(False))
+    assert main(["verify", "--max-n", "6", "--jobs", "1"]) == 1
+    assert "FAIL: kappa(Z_1): closed form 2 != matrix-tree 1" in capsys.readouterr().out
 
 
 def test_cmd_verify_checks_cap_first(capsys):

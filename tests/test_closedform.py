@@ -41,8 +41,11 @@ def _build(text):
 def test_divisor_profile_12():
     prof = divisor_profile(12)
     assert prof.divisors == (12, 6, 4, 3, 2, 1)
-    assert prof.deg_plus_one == (12, 10, 8, 9, 10, 12)
-    assert prof.full_ratios == (Fraction(5), Fraction(4), Fraction(9, 2), Fraction(10))
+    assert prof.degrees == (11, 9, 7, 8, 9, 11)
+    ratios = tuple(
+        Fraction(d + 1, t) for d, t in zip(prof.degrees[1:-1], prof.totients[1:-1])
+    )
+    assert ratios == (Fraction(5), Fraction(4), Fraction(9, 2), Fraction(10))
 
 
 def test_divisor_profile_6():
@@ -55,7 +58,6 @@ def test_divisor_profile_prime():
     prof = divisor_profile(7)
     assert len(prof.divisors) == 2
     assert prof.middle == ()
-    assert prof.full_ratio_product == 1
 
 
 def test_divisor_profile_invariants():
@@ -63,8 +65,9 @@ def test_divisor_profile_invariants():
         prof = divisor_profile(n)
         assert sum(prof.totients) == n
         assert prof.degrees[0] == n - 1 and prof.degrees[-1] == n - 1
-        assert prof.deg_plus_one[0] == n and prof.deg_plus_one[-1] == n
-        assert all(r > 1 for r in prof.full_ratios)
+        assert all(
+            prof.degrees[i] + 1 > prof.totients[i] for i in range(1, len(prof.divisors) - 1)
+        )
 
 
 def test_divisor_graph_30():

@@ -215,6 +215,12 @@ def test_block_decomposition_matches_temperley_on_catalog():
         ), text
 
 
+def test_block_decomposition_carries_multiplicities():
+    # a bridge of multiplicity m is one K_2 block counting m trees, not m edges
+    g = MultiGraph(3, [(0, 1, 2**62), (1, 2, 3)])
+    assert block_decomposition_kappa(g).value == 3 * 2**62 == temperley_kappa(g).value
+
+
 def test_block_decomposition_with_deletion_contraction_inner():
     graph = _graph("dihedral:6")
     value = block_decomposition_kappa(graph, inner=deletion_contraction_kappa)
