@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -235,9 +236,14 @@ def cmd_verify(args) -> int:
     cap = max_order()
     if args.max_n > cap:
         raise UnsupportedOrder(f"--max-n {args.max_n} > order cap {cap}")
+    if args.jobs < 1:
+        raise OutOfRange("--jobs must be >= 1")
     values = range(1, args.max_n + 1)
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts every worker up front, so more than there are cores or
+    # values of n only costs processes
+    workers = min(args.jobs, os.cpu_count() or 1, args.max_n)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_single, values))
     else:
         results = [_verify_single(n) for n in values]
@@ -342,7 +348,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed forms vs determinants for Z_1..Z_N")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (>= 1), at most one per core and per n")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("divisor-graph", help="middle-divisor graph of n (or its complement)")

@@ -5,10 +5,16 @@ determinant det(J+Q)/n^2, brute-force enumeration, the deletion-contraction
 recurrence, multiplication over biconnected blocks, and, for power graphs,
 the weighted count on the quotient by cyclic subgroups. A disconnected
 graph counts 0 trees by convention.
+
+The quotient's weighted count is the determinant of its Laplacian with one
+root's row and column deleted, found by exact sparse elimination in
+minimum-degree order. That matrix is positive semidefinite, so a zero pivot
+has a zero row: some component has no path to the root, and the count is 0.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import prod
 
 from .errors import Disconnected, DiscrepancyDetected, TooLarge, TrivialGroup
@@ -255,6 +261,53 @@ def temperley_kappa(graph) -> TreeNumber:
     return TreeNumber(q)
 
 
+def _root_deleted_determinant(adj: list[dict], kept) -> int:
+    """det(L(G - r) + diag(w(v, r))) for the graph G on `kept`.
+
+    `adj[v]` maps each neighbour u of v to the Laplacian entry -w(u, v) and
+    is consumed. The root r is the vertex of most neighbours. The pivots
+    come in minimum-degree order from a bucket queue; a zero pivot gives 0.
+    """
+    root = max(kept, key=lambda v: len(adj[v]))
+    diag = {v: Fraction(-sum(adj[v].values())) for v in kept}
+    rows = {v: adj[v] for v in kept if v != root}
+    for row in rows.values():
+        row.pop(root, None)
+    buckets = [set() for _ in range(len(rows))]
+    for v, row in rows.items():
+        buckets[len(row)].add(v)
+    det = Fraction(1)
+    low = 0
+    for _ in range(len(rows)):
+        while not buckets[low]:
+            low += 1
+        v = buckets[low].pop()
+        pivot = diag[v]
+        if not pivot:
+            return 0
+        det *= pivot
+        row = rows.pop(v)
+        nbrs = list(row.items())
+        for a, _ in nbrs:
+            buckets[len(rows[a])].discard(a)
+        for i, (a, x) in enumerate(nbrs):
+            ra = rows[a]
+            del ra[v]
+            f = x / pivot
+            diag[a] -= f * x
+            # Schur update; off-diagonal entries only grow in size, so the
+            # nonzero pattern is exactly the symbolic fill
+            for b, y in nbrs[i + 1 :]:
+                ra[b] = rows[b][a] = ra.get(b, 0) - f * y
+        for a, _ in nbrs:
+            degree = len(rows[a])
+            buckets[degree].add(a)
+            low = min(low, degree)
+    if det.denominator != 1:
+        raise DiscrepancyDetected(f"pivot product {det} is not an integer")
+    return det.numerator
+
+
 def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
     """Tree count of the (reduced) power graph of `group` from its cyclic subgroups.
 
@@ -265,9 +318,19 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
 
         kappa = prod_C (d_C + 1)^(k_C - 1) * tau_W / prod_C k_C
 
-    with tau_W the weighted tree count of that quotient. The reduced graph
-    drops the identity class. Only `group.cyclic_subgroups` and
-    `group.cyclic_class` are read; no power graph is built.
+    with tau_W the weighted tree count of that quotient Γ. The reduced graph
+    drops the identity class. tau_W is the determinant of Γ's weighted
+    Laplacian with one root r's row and column deleted, which is
+    L(Γ - r) + diag(w(C, r)). On the full graph r is the identity class,
+    adjacent to every class, so the matrix splits into one block per
+    component of the reduced quotient; on the reduced graph r is the class
+    of most neighbours. Sparse exact elimination in minimum-degree order
+    removes leaves, stars and series chains without fill. The matrix is
+    positive semidefinite, and so is each Schur complement at a positive
+    pivot, so a zero pivot has a zero row: a component of Γ - r has no
+    edge to r, Γ is disconnected, and the count is 0. Only
+    `group.cyclic_subgroups` and `group.cyclic_class` are read; no power
+    graph is built.
     """
     if reduced and group.order < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
@@ -277,7 +340,8 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
     for c in cls:
         sizes[c] += 1
     drop = 1 if reduced else 0
-    quotient = MultiGraph(len(sizes) - drop)
+    # Laplacian off-diagonal entries -k_C * k_D of the quotient
+    adj: list[dict] = [{} for _ in sizes]
     # generators of strictly larger cyclic subgroups, per class
     up = [0] * len(sizes)
     for c, s in enumerate(subgroups):
@@ -285,10 +349,10 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
         for b in {cls[y] for y in s} - {c}:
             up[b] += sizes[c]
             if b >= drop:
-                quotient.add_edge(c - drop, b - drop, sizes[c] * sizes[b])
+                adj[c][b] = adj[b][c] = -sizes[c] * sizes[b]
     kept = range(drop, len(sizes))
     # d_C + 1 = |C| + (generators above C), less the identity when reduced
-    num = temperley_kappa(quotient).value * prod(
+    num = _root_deleted_determinant(adj, kept) * prod(
         (len(subgroups[c]) - drop + up[c]) ** (sizes[c] - 1) for c in kept
     )
     value, rem = divmod(num, prod(sizes[c] for c in kept))

@@ -1,10 +1,11 @@
 import json
+import os
 import sys
 import time
 
 import pytest
 
-from powertree import closedform
+from powertree import cli, closedform
 from powertree.cli import _decimal, main
 from powertree.errors import ParseError
 from powertree.groups import GroupSpec, build
@@ -204,6 +205,25 @@ def test_cmd_kappa_at_the_order_cap(capsys):
     assert "cap" in capsys.readouterr().err
 
 
+def test_cmd_kappa_default_route_near_the_order_cap(capsys):
+    for text, formula in (
+        ("dihedral:5000", lambda: closedform.kappa_dihedral(5000)),
+        ("elemabelian:3^8", lambda: closedform.kappa_elementary_abelian(3, 8)),
+        ("quaternion:2048", lambda: closedform.kappa_quaternion_pow2(2048)),
+    ):
+        start = time.perf_counter()
+        assert main(["kappa", text, "--format", "json"]) == 0, text
+        assert time.perf_counter() - start < 5, text
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["method"] == "quotient"
+        assert payload["kappa"] == _decimal(formula().value), text
+    for text in ("sym:7", "product:(sym:5)x(cyclic:60)"):
+        start = time.perf_counter()
+        assert main(["kappa", text]) == 0, text
+        assert time.perf_counter() - start < 5, text
+        assert capsys.readouterr().out.strip().isdigit()
+
+
 def test_cmd_kappa_beyond_int_str_digit_limit(capsys):
     # kappa(Z_1500) has more decimal digits than str() renders by default
     assert main(["kappa", "cyclic:1500", "--format", "json"]) == 0
@@ -301,6 +321,36 @@ def test_cmd_verify_checks_cap_first(capsys):
     assert main(["verify", "--max-n", "20000"]) == 3
     assert time.perf_counter() - start < 5
     assert "cap" in capsys.readouterr().err
+
+
+def test_cmd_verify_caps_jobs(monkeypatch, capsys):
+    # the fake pool records its size and maps in this process: nothing forks
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, values):
+            return map(fn, values)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    for max_n, jobs in ((2, 100000), (12, 100000), (12, 3), (3, 1)):
+        assert main(["verify", "--max-n", str(max_n), "--jobs", str(jobs)]) == 0
+    assert sizes == [2, 4, 3]  # one worker runs serially, without a pool
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
+    assert sizes == [2, 4, 3]
+    for jobs in ("0", "-5"):
+        assert main(["verify", "--max-n", "3", "--jobs", jobs]) == 2
+        assert "--jobs" in capsys.readouterr().err
 
 
 def test_cmd_verify_parallel(capsys):

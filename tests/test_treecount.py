@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -304,6 +305,36 @@ def test_quotient_matches_determinant_dihedral_dicyclic(family):
 @pytest.mark.parametrize("text", ["alt:4", "sym:4", "alt:5", "sym:5"])
 def test_quotient_matches_determinant_permutation_groups(text):
     _assert_quotient_matches_determinant(text)
+
+
+def _dense_quotient_kappa(group, reduced=False):
+    """Reference: the quotient as a MultiGraph, counted by det(J+Q)/n^2."""
+    subgroups, cls = group.cyclic_subgroups, group.cyclic_class
+    sizes = [0] * len(subgroups)
+    for c in cls:
+        sizes[c] += 1
+    drop = 1 if reduced else 0
+    quotient = MultiGraph(len(sizes) - drop)
+    up = [0] * len(sizes)
+    for c, s in enumerate(subgroups):
+        for b in {cls[y] for y in s} - {c}:
+            up[b] += sizes[c]
+            if b >= drop:
+                quotient.add_edge(c - drop, b - drop, sizes[c] * sizes[b])
+    kept = range(drop, len(sizes))
+    num = temperley_kappa(quotient).value * prod(
+        (len(subgroups[c]) - drop + up[c]) ** (sizes[c] - 1) for c in kept
+    )
+    value, rem = divmod(num, prod(sizes[c] for c in kept))
+    assert rem == 0
+    return value
+
+
+@pytest.mark.parametrize("text", ["alt:6", "dihedral:180", "quaternion:90"])
+def test_quotient_matches_dense_quotient(text):
+    g = build(parse_group_spec(text))
+    for reduced in (False, True):
+        assert quotient_kappa(g, reduced).value == _dense_quotient_kappa(g, reduced), text
 
 
 def test_quotient_matches_block_product_a6():
