@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Subcommands: kappa, table1, verify, divisor-graph, classify, graph, det.
-Exit codes: 0 success, 1 computation discrepancy or failed verification,
-2 parse/usage error, 3 resource cap exceeded.
+Exit codes: 0 success, 1 when a check fails (verify, table1, classify --a5,
+or `kappa --method all` with disagreeing methods). A PowerTreeError exits
+with the code its type carries (2 usage, 3 resource cap, 1 discrepancy) and
+prints its type's label on stderr.
 """
 
 from __future__ import annotations
@@ -17,44 +19,12 @@ from dataclasses import dataclass
 
 from . import classify as classify_mod
 from . import closedform, table1
-from .errors import (
-    Disconnected,
-    DiscrepancyDetected,
-    EqualPrimes,
-    InvalidPair,
-    InvalidSpec,
-    MethodUnavailable,
-    NotEPO,
-    NotPowerOfTwo,
-    NotPrime,
-    OutOfRange,
-    ParseError,
-    PowerTreeError,
-    TooLarge,
-    TooManyDivisors,
-    TrivialGroup,
-    UnsupportedOrder,
-)
+from .errors import InvalidSpec, NotEPO, OutOfRange, PowerTreeError, UnsupportedOrder
 from .groups import FiniteGroup, GroupSpec, build, max_order
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
 from .treecount import block_decomposition_kappa, quotient_kappa
-
-USAGE_ERRORS = (
-    ParseError,
-    InvalidSpec,
-    NotPrime,
-    TrivialGroup,
-    OutOfRange,
-    EqualPrimes,
-    NotPowerOfTwo,
-    InvalidPair,
-    NotEPO,
-    MethodUnavailable,
-    Disconnected,
-)
-RESOURCE_ERRORS = (UnsupportedOrder, TooLarge, TooManyDivisors)
 
 
 @dataclass
@@ -157,12 +127,7 @@ def _compute_record(
         if used == "matrix-tree":
             result = temperley_kappa(graph)
         else:
-            try:
-                result = block_decomposition_kappa(graph)
-            except Disconnected:
-                # block products are undefined on disconnected reduced graphs;
-                # the count is 0 there by convention
-                result = TreeNumber(0)
+            result = block_decomposition_kappa(graph)
     kappa, factorization = _rendered(result)
     return OutputRecord(
         group=g.name,
@@ -382,18 +347,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except USAGE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except RESOURCE_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DiscrepancyDetected as exc:
-        print(f"discrepancy: {exc}", file=sys.stderr)
-        return 1
     except PowerTreeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        print(f"{exc.label}: {exc}", file=sys.stderr)
+        return exc.exit_code
 
 
 if __name__ == "__main__":

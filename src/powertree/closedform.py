@@ -5,8 +5,10 @@ determinant indexed by the middle divisors of n (all divisors except n and 1),
 with the incomparability graph of those divisors supplying the off-diagonal
 pattern. One body serves the full and the identity-deleted graph: deleting
 the identity lowers every degree by one and drops the identity's factor.
-Everything is evaluated in exact integer or rational arithmetic and the
-final divisions are checked for exactness.
+Everything is evaluated in exact integer or rational arithmetic. Each
+formula is a product of prime powers, written as (base, exponent) pairs with
+a negative exponent dividing; `_counted` evaluates it, checks that the
+division is exact, and factors the count from its bases.
 """
 
 from __future__ import annotations
@@ -114,34 +116,27 @@ def _middle_determinant(prof: DivisorProfile, diagonal: tuple[int, ...]) -> int:
     return exact_integer_determinant(mat)
 
 
-def _factored_quotient(
-    bases_num, det_num: int, bases_den, square_base: int
-) -> dict[int, int] | None:
-    """Exponent arithmetic for (prod b^e * det) / (prod b * square^2).
+def _counted(name: str, powers) -> TreeNumber:
+    """The tree count prod b^e over (base, exponent) pairs; e < 0 divides.
 
-    None when det resists factoring: the factorization is best-effort,
-    and the caller's value is exact without it.
+    The division must be exact. The factorization adds up the bases' own
+    factorizations and is left out when a base resists factoring: it is
+    best-effort, and the value is exact without it.
     """
-    acc: dict[int, int] = {}
-
-    def bump(value: int, times: int) -> None:
-        if value == 1 or times == 0:
-            return
-        for p, e in factorize(value).items():
-            acc[p] = acc.get(p, 0) + e * times
-
-    for base, exp in bases_num:
-        bump(base, exp)
+    powers = [(b, e) for b, e in powers if e and b != 1]
+    value, rem = divmod(
+        prod(b**e for b, e in powers if e > 0), prod(b**-e for b, e in powers if e < 0)
+    )
+    if rem:
+        raise DiscrepancyDetected(f"kappa({name}) division not exact")
+    factors: dict[int, int] | None = {}
     try:
-        bump(det_num, 1)
+        for b, e in powers:
+            for p, m in factorize(b).items():
+                factors[p] = factors.get(p, 0) + m * e
     except ValueError:
-        return None
-    for base in bases_den:
-        bump(base, -1)
-    bump(square_base, -2)
-    if any(e < 0 for e in acc.values()):
-        raise DiscrepancyDetected(f"non-exact closed-form division: {acc}")
-    return {p: e for p, e in acc.items() if e > 0}
+        factors = None
+    return TreeNumber(value, factors)
 
 
 def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
@@ -158,16 +153,10 @@ def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
     k = len(prof.divisors)
     diagonal = tuple(d + 1 - drop for d in prof.degrees)
     bases = list(zip(diagonal, prof.totients))[: k - drop]
-    middle = diagonal[1 : k - 1]
-    square = n - drop
+    middle = [(d, -1) for d in diagonal[1 : k - 1]]
     det = _middle_determinant(prof, diagonal)
-    value, rem = divmod(
-        prod(b**t for b, t in bases) * det, prod(middle) * square * square
-    )
-    if rem:
-        name = f"Z_{n} reduced" if reduced else f"Z_{n}"
-        raise DiscrepancyDetected(f"kappa({name}) division not exact")
-    return TreeNumber(value, _factored_quotient(bases, det, middle, square))
+    name = f"Z_{n} reduced" if reduced else f"Z_{n}"
+    return _counted(name, [*bases, (det, 1), *middle, (n - drop, -2)])
 
 
 def kappa_cyclic_reduced(n: int) -> TreeNumber:
@@ -236,14 +225,7 @@ def kappa_pq(p: int, q: int, reduced: bool = False) -> TreeNumber:
             (n - q + 1, p - 2),
             (n - p - q + 2, 1),
         ]
-    value = prod(b**e for b, e in bases)
-    acc: dict[int, int] = {}
-    for b, e in bases:
-        if e == 0 or b == 1:
-            continue
-        for prime, mult in factorize(b).items():
-            acc[prime] = acc.get(prime, 0) + mult * e
-    return TreeNumber(value, acc)
+    return _counted(f"Z_{n} reduced" if reduced else f"Z_{n}", bases)
 
 
 def kappa_dihedral(n: int) -> TreeNumber:
@@ -257,21 +239,14 @@ def kappa_quaternion_reduced(n: int) -> TreeNumber:
     The unique involution is a cut vertex joining n triangles to the reduced
     graph of the rotation subgroup Z_2n, so the count is 3^n times that one.
     """
-    base = kappa_cyclic(2 * n, reduced=True)
-    factors = None
-    if base.factorization is not None:
-        factors = dict(base.factorization)
-        factors[3] = factors.get(3, 0) + n
-    return TreeNumber(3**n * base.value, factors)
+    return TreeNumber(3**n, {3: n}) * kappa_cyclic(2 * n, reduced=True)
 
 
 def kappa_quaternion_pow2(n: int) -> TreeNumber:
     """Tree count of P(Q_4n) for n a power of two: 2^(5n-1) * n^(2n-2)."""
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"need n a power of two, got {n}")
-    j = n.bit_length() - 1
-    exponent = 5 * n - 1 + j * (2 * n - 2)
-    return TreeNumber(1 << exponent, {2: exponent})
+    return _counted(f"Q_{4 * n}", [(2, 5 * n - 1), (n, 2 * n - 2)])
 
 
 def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
@@ -284,8 +259,7 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("rank must be >= 1")
-    exponent = (p**k - 1) // (p - 1) * (p - 2)
-    return TreeNumber(p**exponent, {p: exponent} if exponent else {})
+    return _counted(f"Z_{p}^{k}", [(p, (p**k - 1) // (p - 1) * (p - 2))])
 
 
 def kappa_epo(g: FiniteGroup) -> TreeNumber:
@@ -295,13 +269,9 @@ def kappa_epo(g: FiniteGroup) -> TreeNumber:
             raise NotEPO(
                 f"{g.name} has an element of composite order {g.element_order[i]}"
             )
-    factors: dict[int, int] = {}
-    for p in sorted(set(g.element_order[1:])):
-        exponent = (p - 2) * count_cyclic_subgroups(g, p)
-        if exponent:
-            factors[p] = exponent
-    value = prod(p**e for p, e in factors.items())
-    return TreeNumber(value, factors)
+    return _counted(g.name, [
+        (p, (p - 2) * count_cyclic_subgroups(g, p)) for p in set(g.element_order[1:])
+    ])
 
 
 def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
@@ -310,9 +280,4 @@ def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
         raise InvalidPair(
             f"need primes with q < p and p = 1 mod q, got ({p}, {q})"
         )
-    factors = {}
-    if p > 2:
-        factors[p] = p - 2
-    if q > 2:
-        factors[q] = p * (q - 2)
-    return TreeNumber(p ** (p - 2) * q ** (p * (q - 2)), factors)
+    return _counted(f"Z_{p}⋊Z_{q}", [(p, p - 2), (q, p * (q - 2))])

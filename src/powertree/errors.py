@@ -1,8 +1,16 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Each type carries the CLI's exit code and stderr label for it, so the
+command line reports every error the same way: 2 for usage errors (the
+default), 3 when a resource cap is exceeded, 1 for a discrepancy.
+"""
 
 
 class PowerTreeError(Exception):
     """Base class for all powertree errors."""
+
+    exit_code = 2
+    label = "error"
 
 
 class InvalidSpec(PowerTreeError):
@@ -11,6 +19,8 @@ class InvalidSpec(PowerTreeError):
 
 class UnsupportedOrder(PowerTreeError):
     """Requested group order exceeds the configured maximum."""
+
+    exit_code = 3
 
 
 class NotPrime(PowerTreeError):
@@ -28,13 +38,13 @@ class OutOfRange(PowerTreeError):
 class TooLarge(PowerTreeError):
     """Input exceeds the size bound of an exact (exponential) method."""
 
-
-class Disconnected(PowerTreeError):
-    """Operation requires a connected graph."""
+    exit_code = 3
 
 
 class TooManyDivisors(PowerTreeError):
     """Subset expansion would need more than 2^20 terms."""
+
+    exit_code = 3
 
 
 class EqualPrimes(PowerTreeError):
@@ -68,13 +78,12 @@ class ParseError(PowerTreeError):
         super().__init__(detail)
 
 
-class MethodUnavailable(PowerTreeError):
-    """No counting method of the requested kind applies to this input."""
-
-
 class DiscrepancyDetected(PowerTreeError):
     """Two supposedly-equal exact computations disagree.
 
     This always indicates a bug, never a rounding issue; nothing in the
     package computes approximately.
     """
+
+    exit_code = 1
+    label = "discrepancy"

@@ -3,8 +3,9 @@
 Independent routes to the same number: the all-ones-plus-Laplacian
 determinant det(J+Q)/n^2, brute-force enumeration, the deletion-contraction
 recurrence, multiplication over biconnected blocks, and, for power graphs,
-the weighted count on the quotient by cyclic subgroups. A disconnected
-graph counts 0 trees by convention.
+the weighted count on the quotient by cyclic subgroups. The graph routes
+work on a MultiGraph; a PowerGraph enters through `as_multigraph`, the one
+conversion. A disconnected graph counts 0 trees on every route.
 
 The quotient's weighted count is the determinant of its Laplacian with one
 root's row and column deleted, found by exact sparse elimination in
@@ -17,9 +18,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import prod
 
-from .errors import Disconnected, DiscrepancyDetected, TooLarge, TrivialGroup
+from .errors import DiscrepancyDetected, TooLarge, TrivialGroup
 from .numutil import format_factored, try_factorize
-from .powergraph import PowerGraph
 
 FACTOR_VALUE_LIMIT = 10**150
 
@@ -31,7 +31,7 @@ class TreeNumber:
 
     def __init__(self, value: int, factors: dict[int, int] | None = None):
         if value < 0:
-            raise DiscrepancyDetected(f"negative tree count {value}")
+            raise DiscrepancyDetected(f"negative tree count of {value.bit_length()} bits")
         self.value = value
         if factors is not None:
             check = 1
@@ -41,7 +41,8 @@ class TreeNumber:
                 check *= p**e
             if check != value:
                 raise DiscrepancyDetected(
-                    f"factorization {factors} multiplies to {check}, not {value}"
+                    f"factorization multiplies to {check.bit_length()} bits,"
+                    f" not to the {value.bit_length()}-bit count"
                 )
             factors = {p: e for p, e in factors.items() if e > 0}
         self._factors = factors
@@ -168,7 +169,7 @@ class MultiGraph:
 
 
 def as_multigraph(graph) -> MultiGraph:
-    """PowerGraph inputs convert with all multiplicities 1."""
+    """The one conversion of a PowerGraph, all multiplicities 1, for the graph routes."""
     if isinstance(graph, MultiGraph):
         return graph
     g = MultiGraph(graph.vertex_count)
@@ -220,21 +221,8 @@ def exact_integer_determinant(matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def _ones_plus_laplacian(graph) -> list[list[int]]:
+def _ones_plus_laplacian(graph: MultiGraph) -> list[list[int]]:
     n = graph.vertex_count
-    if isinstance(graph, PowerGraph):
-        rows = graph.rows
-        mat = []
-        for i in range(n):
-            row = [1] * n
-            r = rows[i]
-            while r:
-                low = r & -r
-                row[low.bit_length() - 1] = 0
-                r ^= low
-            row[i] = 1 + rows[i].bit_count()
-            mat.append(row)
-        return mat
     mat = [[1] * n for _ in range(n)]
     deg = [0] * n
     for u, v, m in graph.edges():
@@ -252,12 +240,14 @@ def temperley_kappa(graph) -> TreeNumber:
     n = graph.vertex_count
     if n < 1:
         raise ValueError("temperley_kappa needs at least one vertex")
-    det = exact_integer_determinant(_ones_plus_laplacian(graph))
+    det = exact_integer_determinant(_ones_plus_laplacian(as_multigraph(graph)))
     q, r = divmod(det, n * n)
     if r != 0:
-        raise DiscrepancyDetected(f"det(J+Q)={det} not divisible by {n}^2")
+        raise DiscrepancyDetected(
+            f"det(J+Q) of {det.bit_length()} bits not divisible by {n}^2"
+        )
     if q < 0:
-        raise DiscrepancyDetected(f"negative tree count {q} from determinant")
+        raise DiscrepancyDetected("negative tree count from determinant")
     return TreeNumber(q)
 
 
@@ -304,7 +294,10 @@ def _root_deleted_determinant(adj: list[dict], kept) -> int:
             buckets[degree].add(a)
             low = min(low, degree)
     if det.denominator != 1:
-        raise DiscrepancyDetected(f"pivot product {det} is not an integer")
+        raise DiscrepancyDetected(
+            f"pivot product of {det.numerator.bit_length()} bits over"
+            f" {det.denominator.bit_length()} bits is not an integer"
+        )
     return det.numerator
 
 
@@ -541,13 +534,13 @@ def block_decomposition_kappa(graph, inner=None) -> TreeNumber:
     Deleting a cut vertex splits the count multiplicatively; iterating that
     over the whole block tree lets `inner` (default the determinant route)
     handle each block in isolation. A cut edge of multiplicity m is a K_2
-    block contributing m.
+    block contributing m. A disconnected graph counts 0, as on every route.
     """
     if inner is None:
         inner = temperley_kappa
     g = as_multigraph(graph)
     if not g.is_connected():
-        raise Disconnected("block decomposition needs a connected graph")
+        return TreeNumber(0)
     result = TreeNumber(1, {})
     for block in _biconnected_blocks(g):
         verts = sorted({x for u, v, _ in block for x in (u, v)})

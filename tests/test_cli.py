@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from powertree import cli, closedform
+from powertree import cli, closedform, errors
 from powertree.cli import _decimal, main
-from powertree.errors import ParseError
+from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import GroupSpec, build
 from powertree.specparse import parse_group_spec
 from powertree.treecount import quotient_kappa
@@ -149,7 +149,7 @@ def test_cmd_kappa_reduced_disconnected_all_methods(capsys):
     "argv",
     [
         ["perm:6:(1 2 3);(4 5 6)"],
-        ["perm:4:(1 2);(3 4)", "--reduced"],  # decomposition: Disconnected, 0
+        ["perm:4:(1 2);(3 4)", "--reduced"],  # disconnected, every route counts 0
         ["product:(cyclic:3)x(perm:3:(1 2))"],
         ["semidirect:7:3"],
     ],
@@ -267,6 +267,27 @@ def test_cmd_kappa_discrepancy_exit_code(monkeypatch, capsys):
     monkeypatch.setattr(closedform, "kappa_cyclic", lambda n, reduced=False: TreeNumber(1))
     assert main(["kappa", "cyclic:6", "--method", "all"]) == 1
     assert "discrepancy" in capsys.readouterr().err
+
+
+def test_cmd_kappa_discrepancy_error_exit(monkeypatch, capsys):
+    def fail(group, reduced=False):
+        raise DiscrepancyDetected("quotient count not divisible by the class sizes")
+
+    monkeypatch.setattr(cli, "quotient_kappa", fail)
+    assert main(["kappa", "cyclic:6"]) == 1
+    assert capsys.readouterr().err.startswith("discrepancy: quotient count")
+
+
+def test_error_types_carry_exit_codes():
+    types = [errors.PowerTreeError]
+    for t in types:
+        types.extend(t.__subclasses__())
+    assert len(types) == 14
+    resource = {errors.UnsupportedOrder, errors.TooLarge, errors.TooManyDivisors}
+    for t in types:
+        expected = 3 if t in resource else 1 if t is DiscrepancyDetected else 2
+        assert t.exit_code == expected, t.__name__
+        assert t.label == ("discrepancy" if t is DiscrepancyDetected else "error")
 
 
 def test_cmd_kappa_parse_error_exit(capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from powertree.closedform import (
+    _counted,
     divisor_graph,
     divisor_profile,
     kappa_cyclic,
@@ -17,6 +18,7 @@ from powertree.closedform import (
     kappa_semidirect_pq,
 )
 from powertree.errors import (
+    DiscrepancyDetected,
     EqualPrimes,
     InvalidPair,
     NotEPO,
@@ -267,6 +269,15 @@ def test_kappa_semidirect_pq():
         kappa_semidirect_pq(7, 5)
     with pytest.raises(InvalidPair):
         kappa_semidirect_pq(3, 5)
+
+
+def test_counted_factors_and_exact_division():
+    count = _counted("Z_6", [(6, 2), (1, 5), (7, 0), (3, -1)])
+    assert count.value == 12
+    assert count.factorization == {2: 2, 3: 1}
+    # the message names the count and formats no power, however large
+    with pytest.raises(DiscrepancyDetected, match=r"kappa\(Z_7\)"):
+        _counted("Z_7", [(10**5000 + 1, 1), (2, -1)])
 
 
 def test_divisibility_corollary():
