@@ -1,7 +1,14 @@
-"""Integer helpers: primality, factorization, totients, divisor lists."""
+"""Integer helpers: primality, factorization, totients, divisor lists.
+
+Factorization divides out the primes below 100000 and splits what is left by
+Lenstra's elliptic-curve method (ECM) on Montgomery curves. One call of
+`try_factorize` gets ECM_CURVES curves in all, shared by every cofactor it
+splits off. The budget counts curves, not time, so a result depends only on n.
+"""
 
 from __future__ import annotations
 
+import bisect
 import math
 from functools import lru_cache
 
@@ -57,53 +64,102 @@ def primes_upto(n: int) -> list[int]:
 _TRIAL_PRIMES = primes_upto(100_000)
 
 
-def _brent_rho(n: int, seed: int, max_iter: int) -> int | None:
-    """One Brent-cycle attempt at a nontrivial factor of composite odd n."""
-    y, c, m = seed % n, seed % n + 1, 128
-    g, r, q = 1, 1, 1
-    x = ys = y
-    count = 0
-    while g == 1:
-        x = y
-        for _ in range(r):
-            y = (y * y + c) % n
-        k = 0
-        while k < r and g == 1:
-            ys = y
-            for _ in range(min(m, r - k)):
-                y = (y * y + c) % n
-                q = q * abs(x - y) % n
-            g = math.gcd(q, n)
-            k += m
-            count += m
-            if count > max_iter:
-                return None
-        r *= 2
-    if g == n:
-        while True:
-            ys = (ys * ys + c) % n
-            g = math.gcd(abs(x - ys), n)
+# Lenstra's elliptic-curve method on Montgomery curves By^2 = x^3 + Ax^2 + x,
+# points as (X : Z) with a24 = (A + 2) / 4. A curve finds a prime p of n when
+# its group order mod p is B1-smooth but for one prime in (B1, B2], where
+# B2 is the largest trial prime.
+_ECM_B1 = 2_000
+_ECM_D = 210  # stage-2 giant step; 2*3*5*7, so every prime above B1 is m*D +- j
+# Curves per try_factorize call, shared by every cofactor. Curve sigma uses
+# u = sigma^2 - 5 < 100000 here, so 16u^3v is prime to n, whose prime factors
+# all exceed the trial primes, and a24 always exists.
+ECM_CURVES = 80
+
+
+def _x_add(p, q, diff, n):
+    """x-coordinate of p + q from those of p, q and p - q."""
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _x_dbl(p, a24, n):
+    """x-coordinate of 2p."""
+    s = (p[0] + p[1]) ** 2 % n
+    d = (p[0] - p[1]) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _ladder(p, k, a24, n):
+    """[k]p for k >= 1 by the Montgomery ladder."""
+    r0, r1 = p, _x_dbl(p, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _x_add(r1, r0, p, n), _x_dbl(r1, a24, n)
+        else:
+            r0, r1 = _x_dbl(r0, a24, n), _x_add(r1, r0, p, n)
+    return r0
+
+
+def _ecm_curve(n: int, sigma: int) -> int | None:
+    """A nontrivial factor of composite n from Suyama's curve sigma, or None."""
+    u, v = sigma * sigma - 5, 4 * sigma
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
+    q = (u**3 % n, v**3 % n)
+    split = bisect.bisect_right(_TRIAL_PRIMES, _ECM_B1)
+    # stage 1: [p^e]q for every prime power p^e <= B1; a gcd per prime, so
+    # primes of n that the curve finds at different p^e still come apart
+    for p in _TRIAL_PRIMES[:split]:
+        pe = p
+        while pe * p <= _ECM_B1:
+            pe *= p
+        q = _ladder(q, pe, a24, n)
+        g = math.gcd(q[1], n)
+        if g > 1:
+            return g if g < n else None
+    # stage 2: a prime r = m*D +- j kills q mod p iff x([m*D]q) = x([j]q) mod p
+    twice = _x_dbl(q, a24, n)
+    baby = {1: q, 3: _x_add(twice, q, q, n)}
+    for j in range(5, _ECM_D // 2, 2):
+        baby[j] = _x_add(baby[j - 2], twice, baby[j - 4], n)
+    m = _ECM_B1 // _ECM_D
+    step = _ladder(q, _ECM_D, a24, n)
+    prev, giant = _ladder(q, (m - 1) * _ECM_D, a24, n), _ladder(q, m * _ECM_D, a24, n)
+    acc = 1
+    for r in _TRIAL_PRIMES[split:]:
+        while m * _ECM_D + _ECM_D // 2 < r:
+            g = math.gcd(acc, n)
             if g > 1:
-                break
-    return g if g != n else None
+                return g if g < n else None
+            prev, giant = giant, _x_add(giant, step, prev, n)
+            m += 1
+        x, z = baby[abs(r - m * _ECM_D)]
+        acc = acc * (giant[0] * z - x * giant[1]) % n
+    g = math.gcd(acc, n)
+    return g if 1 < g < n else None
 
 
-def _factor_into(n: int, out: dict[int, int], budget: int) -> bool:
-    """Accumulate prime factors of n into out; False if budget ran out."""
+def _factor_into(n: int, out: dict[int, int], sigmas) -> bool:
+    """Accumulate prime factors of n into out; False once sigmas run out.
+
+    n has no prime factor among the trial primes; sigmas is the iterator of
+    curves left to the whole try_factorize call.
+    """
     if n == 1:
         return True
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return True
-    for seed in range(1, 9):
-        d = _brent_rho(n, seed, budget)
-        if d is not None and 1 < d < n:
-            return _factor_into(d, out, budget) and _factor_into(n // d, out, budget)
+    for sigma in sigmas:
+        d = _ecm_curve(n, sigma)
+        if d is not None:
+            return _factor_into(d, out, sigmas) and _factor_into(n // d, out, sigmas)
     return False
 
 
 def try_factorize(n: int) -> dict[int, int] | None:
-    """Full prime factorization of n >= 1, or None when it resists the budget."""
+    """Full prime factorization of n >= 1, or None when ECM_CURVES curves fail."""
     if n < 1:
         raise ValueError("factorization requires a positive integer")
     out: dict[int, int] = {}
@@ -113,14 +169,15 @@ def try_factorize(n: int) -> dict[int, int] | None:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    if n > 1 and not _factor_into(n, out, budget=400_000):
+    # Suyama sigma = 5 gives u = v, a singular curve
+    if n > 1 and not _factor_into(n, out, iter(range(6, 6 + ECM_CURVES))):
         return None
     return out
 
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1; raises if the rho budget is exhausted."""
+    """Prime factorization of n >= 1; raises when the curve budget runs out."""
     out = try_factorize(n)
     if out is None:
         raise ValueError(f"could not factor {n}")

@@ -9,6 +9,7 @@ from powertree import cli, closedform, errors
 from powertree.cli import _decimal, main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import GroupSpec, build
+from powertree.numutil import is_prime, parse_factored
 from powertree.specparse import parse_group_spec
 from powertree.treecount import quotient_kappa
 
@@ -168,14 +169,17 @@ def test_cmd_kappa_closed_form_fallback_notice(capsys):
     assert captured.out.strip() == "0"  # reduced D_8 is disconnected
 
 
-def test_cmd_kappa_closed_form_unfactored_middle_determinant(capsys):
-    # the middle determinant resists factoring; the exact value still comes out
+def test_cmd_kappa_closed_form_factors_middle_determinant(capsys):
+    # the middle determinant of reduced Z_420 has a 51-bit and a 92-bit prime
     argv = ["kappa", "cyclic:420", "--reduced", "--method", "closed-form", "--format", "json"]
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "closed-form"
     expected = quotient_kappa(build(GroupSpec("cyclic", (420,))), reduced=True)
     assert int(payload["kappa"]) == expected.value
+    factored = payload["factorization"]
+    assert all(is_prime(int(part.split("^")[0])) for part in factored.split("*"))
+    assert parse_factored(factored) == expected.value
 
 
 def test_cmd_kappa_closed_form_checks_cap_first(capsys):
@@ -471,6 +475,21 @@ def test_cmd_det(tmp_path, capsys):
     assert main(["det", str(floats)]) == 2
 
     assert main(["det", str(tmp_path / "missing.json")]) == 2
+
+
+def test_cmd_det_checks_dimension_cap_first(tmp_path, capsys):
+    def zeros(dim):
+        path = tmp_path / f"zeros{dim}.json"
+        path.write_text(json.dumps([[0] * dim for _ in range(dim)]))
+        return str(path)
+
+    assert main(["det", zeros(cli.DET_MAX_DIM)]) == 0
+    assert capsys.readouterr().out == "0\n"
+    path = zeros(1000)
+    start = time.perf_counter()
+    assert main(["det", path]) == 3
+    assert time.perf_counter() - start < 5
+    assert "capped" in capsys.readouterr().err
 
 
 def test_cmd_verify_minimal(capsys):

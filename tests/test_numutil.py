@@ -1,5 +1,9 @@
+from math import prod
+
 import pytest
 
+from powertree import numutil
+from powertree.closedform import _counted
 from powertree.numutil import (
     divisors,
     factorize,
@@ -52,6 +56,47 @@ def test_factorize_roundtrip(n):
 def test_try_factorize_large_smooth():
     value = 2**180 * 3**40 * 5**108
     assert try_factorize(value) == {2: 180, 3: 40, 5: 108}
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {1170242789503: 1, 11010048203115136316387704037: 1},  # Z_360 reduced
+        {676285091873: 1, 21960392673722771308231127: 1},  # Z_336 reduced
+        {1379113841234273: 1, 3869103911426611853700634541: 1},  # Z_420 reduced
+        {39069483757: 1, 2102871306143: 1},  # Z_312 reduced
+        {100003: 2},
+        {100003: 3},
+        {100003: 1, 100019: 1},
+    ],
+)
+def test_try_factorize_past_the_trial_primes(factors):
+    # every prime here exceeds the trial primes, so the curves must split it
+    assert try_factorize(prod(p**e for p, e in factors.items())) == factors
+
+
+def test_factoring_gives_up_after_one_shared_curve_budget(monkeypatch):
+    # 100003 splits off, then the two ~100-bit primes use up the curves left
+    n = 100003 * next_prime(2**100) * next_prime(2**101)
+    curves = []
+    curve = numutil._ecm_curve
+
+    def logged_curve(m, sigma):
+        curves.append((sigma, curve(m, sigma)))
+        return curves[-1][1]
+
+    monkeypatch.setattr(numutil, "_ecm_curve", logged_curve)
+    assert try_factorize(n) is None
+    assert [sigma for sigma, _ in curves] == list(range(6, 6 + numutil.ECM_CURVES))
+    assert [d for _, d in curves if d is not None] == [100003]
+    # the rest checks only what giving up leads to, so it gives up sooner
+    monkeypatch.setattr(numutil, "ECM_CURVES", 2)
+    hard = next_prime(2**100) * next_prime(2**101)
+    with pytest.raises(ValueError, match="could not factor"):
+        factorize(hard)
+    counted = _counted("test", [(hard, 1), (6, 2)])
+    assert counted.value == 36 * hard
+    assert counted.factorization is None
 
 
 def test_phi():
