@@ -21,6 +21,7 @@ from . import classify as classify_mod
 from . import closedform, table1
 from .errors import InvalidSpec, NotEPO, OutOfRange, PowerTreeError, TooLarge, UnsupportedOrder
 from .groups import FiniteGroup, GroupSpec, build, max_order
+from .numutil import format_decimal
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
@@ -29,13 +30,12 @@ from .treecount import block_decomposition_kappa, quotient_kappa
 
 @dataclass
 class OutputRecord:
-    """One computed tree count, ready for plain/factored/JSON rendering."""
+    """One computed tree count; it is rendered, and factored, only on output."""
 
     group: str
     order: int
     method: str
-    kappa: str
-    factorization: str | None
+    kappa: TreeNumber
     reduced: bool
     elapsed_ms: float
 
@@ -44,36 +44,13 @@ class OutputRecord:
             "group": self.group,
             "order": self.order,
             "method": self.method,
-            "kappa": self.kappa,
-            "factorization": self.factorization,
+            "kappa": format_decimal(self.kappa.value),
+            "factorization": self.kappa.factored(),
             "reduced": self.reduced,
         }
         if timing:
             payload["elapsed_ms"] = round(self.elapsed_ms, 3)
         return payload
-
-
-def _decimal(value: int) -> str:
-    """Decimal digits of value, also past the interpreter's int-to-str limit.
-
-    The limit stays in force because it also guards parsing of spec text;
-    values above it are split on a power of 10 into halves that fit.
-    """
-    limit = sys.get_int_max_str_digits()
-    # 3 bits per digit undercounts log2(10), so this bound stays under the limit
-    if not limit or value.bit_length() <= 3 * limit:
-        return str(value)
-    if value < 0:
-        return "-" + _decimal(-value)
-    half = value.bit_length() * 3 // 20  # about half the digit count
-    high, low = divmod(value, 10**half)
-    return _decimal(high) + _decimal(low).zfill(half)
-
-
-def _rendered(result: TreeNumber) -> tuple[str, str]:
-    """Decimal and factored text of a tree count; unfactored values print in full."""
-    kappa = _decimal(result.value)
-    return kappa, kappa if result.factorization is None else result.factored()
 
 
 def _closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber | None:
@@ -128,13 +105,11 @@ def _compute_record(
             result = temperley_kappa(graph)
         else:
             result = block_decomposition_kappa(graph)
-    kappa, factorization = _rendered(result)
     return OutputRecord(
         group=g.name,
         order=g.order,
         method=used,
-        kappa=kappa,
-        factorization=factorization,
+        kappa=result,
         reduced=reduced,
         elapsed_ms=(time.perf_counter() - start) * 1000,
     )
@@ -156,7 +131,7 @@ def cmd_kappa(args) -> int:
     if len(values) > 1:
         print("discrepancy between methods:", file=sys.stderr)
         for r in records:
-            print(f"  {r.method}: {r.kappa}", file=sys.stderr)
+            print(f"  {r.method}: {format_decimal(r.kappa.value)}", file=sys.stderr)
         return 1
     _emit_records(records, args.format, getattr(args, "timing", False))
     return 0
@@ -169,7 +144,7 @@ def _emit_records(records, fmt: str, timing: bool) -> None:
                          ensure_ascii=False, indent=2))
         return
     for r in records:
-        text = r.kappa if fmt == "plain" else (r.factorization or r.kappa)
+        text = format_decimal(r.kappa.value) if fmt == "plain" else r.kappa.factored()
         if len(records) > 1:
             print(f"{r.method}: {text}")
         else:
@@ -223,6 +198,9 @@ def cmd_verify(args) -> int:
 def cmd_divisor_graph(args) -> int:
     if args.n < 1:
         raise OutOfRange("n must be >= 1")
+    cap = max_order()
+    if args.n > cap:
+        raise UnsupportedOrder(f"n = {args.n} > order cap {cap}")
     dg = closedform.divisor_graph(args.n)
     middle = set(dg.middle)
     if args.complement:
@@ -287,14 +265,14 @@ def cmd_det(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             matrix = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # JSONDecodeError, too-long integers
         raise InvalidSpec(f"cannot read matrix from {args.file}: {exc}") from exc
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InvalidSpec("matrix file must hold a JSON array of arrays")
     if len(matrix) > DET_MAX_DIM:
         raise TooLarge(f"det capped at dimension {DET_MAX_DIM}, got {len(matrix)}")
     try:
-        print(_decimal(exact_integer_determinant(matrix)))
+        print(format_decimal(exact_integer_determinant(matrix)))
     except (ValueError, TypeError) as exc:
         raise InvalidSpec(str(exc)) from exc
     return 0

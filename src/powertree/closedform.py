@@ -6,9 +6,9 @@ with the incomparability graph of those divisors supplying the off-diagonal
 pattern. One body serves the full and the identity-deleted graph: deleting
 the identity lowers every degree by one and drops the identity's factor.
 Everything is evaluated in exact integer or rational arithmetic. Each
-formula is a product of prime powers, written as (base, exponent) pairs with
-a negative exponent dividing; `_counted` evaluates it, checks that the
-division is exact, and factors the count from its bases.
+formula is a product of powers, written as (base, exponent) pairs with a
+negative exponent dividing; `TreeNumber.from_powers` evaluates it and keeps
+the pairs, so the count is factored from its bases when the output asks.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .errors import (
     TrivialGroup,
 )
 from .groups import FiniteGroup, count_cyclic_subgroups
-from .numutil import divisors, factorize, is_prime, phi
+from .numutil import divisors, factorize, is_prime, phi  # bench/child.py wraps factorize
 from .powergraph import degree_in_cyclic
 from .treecount import TreeNumber, exact_integer_determinant
 
@@ -116,29 +116,6 @@ def _middle_determinant(prof: DivisorProfile, diagonal: tuple[int, ...]) -> int:
     return exact_integer_determinant(mat)
 
 
-def _counted(name: str, powers) -> TreeNumber:
-    """The tree count prod b^e over (base, exponent) pairs; e < 0 divides.
-
-    The division must be exact. The factorization adds up the bases' own
-    factorizations and is left out when a base resists factoring: it is
-    best-effort, and the value is exact without it.
-    """
-    powers = [(b, e) for b, e in powers if e and b != 1]
-    value, rem = divmod(
-        prod(b**e for b, e in powers if e > 0), prod(b**-e for b, e in powers if e < 0)
-    )
-    if rem:
-        raise DiscrepancyDetected(f"kappa({name}) division not exact")
-    factors: dict[int, int] | None = {}
-    try:
-        for b, e in powers:
-            for p, m in factorize(b).items():
-                factors[p] = factors.get(p, 0) + m * e
-    except ValueError:
-        factors = None
-    return TreeNumber(value, factors)
-
-
 def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
     """Tree count of the power graph of Z_n, by the middle-divisor determinant.
 
@@ -156,7 +133,7 @@ def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
     middle = [(d, -1) for d in diagonal[1 : k - 1]]
     det = _middle_determinant(prof, diagonal)
     name = f"Z_{n} reduced" if reduced else f"Z_{n}"
-    return _counted(name, [*bases, (det, 1), *middle, (n - drop, -2)])
+    return TreeNumber.from_powers(name, [*bases, (det, 1), *middle, (n - drop, -2)])
 
 
 def kappa_cyclic_reduced(n: int) -> TreeNumber:
@@ -225,7 +202,7 @@ def kappa_pq(p: int, q: int, reduced: bool = False) -> TreeNumber:
             (n - q + 1, p - 2),
             (n - p - q + 2, 1),
         ]
-    return _counted(f"Z_{n} reduced" if reduced else f"Z_{n}", bases)
+    return TreeNumber.from_powers(f"Z_{n} reduced" if reduced else f"Z_{n}", bases)
 
 
 def kappa_dihedral(n: int) -> TreeNumber:
@@ -239,14 +216,15 @@ def kappa_quaternion_reduced(n: int) -> TreeNumber:
     The unique involution is a cut vertex joining n triangles to the reduced
     graph of the rotation subgroup Z_2n, so the count is 3^n times that one.
     """
-    return TreeNumber(3**n, {3: n}) * kappa_cyclic(2 * n, reduced=True)
+    triangles = TreeNumber.from_powers(f"Q_{4 * n} reduced", [(3, n)])
+    return triangles * kappa_cyclic(2 * n, reduced=True)
 
 
 def kappa_quaternion_pow2(n: int) -> TreeNumber:
     """Tree count of P(Q_4n) for n a power of two: 2^(5n-1) * n^(2n-2)."""
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"need n a power of two, got {n}")
-    return _counted(f"Q_{4 * n}", [(2, 5 * n - 1), (n, 2 * n - 2)])
+    return TreeNumber.from_powers(f"Q_{4 * n}", [(2, 5 * n - 1), (n, 2 * n - 2)])
 
 
 def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
@@ -259,7 +237,7 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
         raise NotPrime(f"{p} is not prime")
     if k < 1:
         raise ValueError("rank must be >= 1")
-    return _counted(f"Z_{p}^{k}", [(p, (p**k - 1) // (p - 1) * (p - 2))])
+    return TreeNumber.from_powers(f"Z_{p}^{k}", [(p, (p**k - 1) // (p - 1) * (p - 2))])
 
 
 def kappa_epo(g: FiniteGroup) -> TreeNumber:
@@ -269,7 +247,7 @@ def kappa_epo(g: FiniteGroup) -> TreeNumber:
             raise NotEPO(
                 f"{g.name} has an element of composite order {g.element_order[i]}"
             )
-    return _counted(g.name, [
+    return TreeNumber.from_powers(g.name, [
         (p, (p - 2) * count_cyclic_subgroups(g, p)) for p in set(g.element_order[1:])
     ])
 
@@ -280,4 +258,4 @@ def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
         raise InvalidPair(
             f"need primes with q < p and p = 1 mod q, got ({p}, {q})"
         )
-    return _counted(f"Z_{p}⋊Z_{q}", [(p, p - 2), (q, p * (q - 2))])
+    return TreeNumber.from_powers(f"Z_{p}⋊Z_{q}", [(p, p - 2), (q, p * (q - 2))])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import bisect
 import math
+import sys
 from functools import lru_cache
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
@@ -169,9 +170,12 @@ def try_factorize(n: int) -> dict[int, int] | None:
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
-    # Suyama sigma = 5 gives u = v, a singular curve
-    if n > 1 and not _factor_into(n, out, iter(range(6, 6 + ECM_CURVES))):
-        return None
+    if 1 < n < _TRIAL_PRIMES[-1] ** 2:  # no trial prime divides n, so n is prime
+        out[n] = 1
+    elif n > 1:
+        # Suyama sigma = 5 gives u = v, a singular curve
+        if not _factor_into(n, out, iter(range(6, 6 + ECM_CURVES))):
+            return None
     return out
 
 
@@ -209,16 +213,31 @@ def p_part(n: int, p: int) -> int:
     return result
 
 
+def format_decimal(value: int) -> str:
+    """Decimal digits of value, also past the interpreter's int-to-str limit.
+
+    The limit stays in force because it also guards parsing of spec text;
+    values above it are split on a power of 10 into halves that fit.
+    Interpreters before Python 3.10.7 have no such limit.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # 3 bits per digit undercounts log2(10), so this bound stays under the limit
+    if not limit or value.bit_length() <= 3 * limit:
+        return str(value)
+    if value < 0:
+        return "-" + format_decimal(-value)
+    half = value.bit_length() * 3 // 20  # about half the digit count
+    high, low = divmod(value, 10**half)
+    return format_decimal(high) + format_decimal(low).zfill(half)
+
+
 def format_factored(factors: dict[int, int] | None, value: int | None = None) -> str:
     """Render {2: 14, 3: 6, 5: 1, 131: 1} as '2^14*3^6*5*131'.
 
-    An empty factorization renders as '1'; None falls back to the decimal
-    value (mandatory then).
+    An empty factorization renders as '1'; None renders the decimal value.
     """
     if factors is None:
-        if value is None:
-            raise ValueError("need a value to fall back to")
-        return str(value)
+        return format_decimal(value)
     if not factors:
         return "1"
     parts = []

@@ -19,44 +19,67 @@ from fractions import Fraction
 from math import prod
 
 from .errors import DiscrepancyDetected, TooLarge, TrivialGroup
-from .numutil import format_factored, try_factorize
+from .numutil import format_decimal, format_factored, try_factorize
 
 FACTOR_VALUE_LIMIT = 10**150
 
 
 class TreeNumber:
-    """Exact nonnegative tree count plus (lazily computed) factorization."""
+    """Exact nonnegative tree count, with the (base, exponent) pairs it was
+    computed from. A bare count is the one pair (value, 1) up to
+    FACTOR_VALUE_LIMIT; past it, or at 0, it has no pairs and no factors.
+    """
 
-    __slots__ = ("value", "_factors")
+    __slots__ = ("value", "_powers", "_factors")
 
-    def __init__(self, value: int, factors: dict[int, int] | None = None):
+    def __init__(self, value: int):
         if value < 0:
             raise DiscrepancyDetected(f"negative tree count of {value.bit_length()} bits")
         self.value = value
-        if factors is not None:
-            check = 1
-            for p, e in factors.items():
-                if e < 0:
-                    raise DiscrepancyDetected(f"negative exponent for prime {p}")
-                check *= p**e
-            if check != value:
-                raise DiscrepancyDetected(
-                    f"factorization multiplies to {check.bit_length()} bits,"
-                    f" not to the {value.bit_length()}-bit count"
-                )
-            factors = {p: e for p, e in factors.items() if e > 0}
-        self._factors = factors
+        self._powers = [(value, 1)] if 0 < value <= FACTOR_VALUE_LIMIT else None
+        self._factors = None
+
+    @classmethod
+    def from_powers(cls, name: str, powers) -> TreeNumber:
+        """The count prod b^e over (base, exponent) pairs; e < 0 divides exactly."""
+        powers = [(b, e) for b, e in powers if e and b != 1]
+        value, rem = divmod(
+            prod(b**e for b, e in powers if e > 0), prod(b**-e for b, e in powers if e < 0)
+        )
+        if rem:
+            raise DiscrepancyDetected(f"kappa({name}) division not exact")
+        count = cls(value)
+        count._powers = powers
+        return count
 
     @property
     def factorization(self) -> dict[int, int] | None:
-        """Prime factorization, or None for 0 / values beyond the budget."""
-        if self._factors is None and self.value > 0 and self.value <= FACTOR_VALUE_LIMIT:
-            self._factors = try_factorize(self.value)
+        """The sum of the bases' factorizations, tried once, on first use.
+
+        None without pairs; a base that resists factoring drops the pairs.
+        """
+        if self._factors is None and self._powers is not None:
+            self._factors = self._factor()
         return self._factors
 
+    def _factor(self) -> dict[int, int] | None:
+        factors: dict[int, int] = {}
+        for b, e in self._powers:
+            base = try_factorize(b)
+            if base is None:
+                self._powers = None  # never tried again, nor in a product
+                return None
+            for p, m in base.items():
+                factors[p] = factors.get(p, 0) + m * e
+        factors = {p: e for p, e in factors.items() if e}
+        if min(factors.values(), default=0) < 0 or prod(p**e for p, e in factors.items()) != self.value:
+            raise DiscrepancyDetected(
+                f"factors do not multiply back to the {self.value.bit_length()}-bit count"
+            )
+        return factors
+
     def factored(self) -> str:
-        if self.value == 0:
-            return "0"
+        """'2^2*3^3*5', or the decimal value when there is no factorization."""
         return format_factored(self.factorization, self.value)
 
     def __int__(self):
@@ -73,17 +96,15 @@ class TreeNumber:
         return hash(self.value)
 
     def __mul__(self, other):
-        if isinstance(other, TreeNumber):
-            if self._factors is not None and other._factors is not None:
-                combined = dict(self._factors)
-                for p, e in other._factors.items():
-                    combined[p] = combined.get(p, 0) + e
-                return TreeNumber(self.value * other.value, combined)
-            return TreeNumber(self.value * other.value)
-        return NotImplemented
+        if not isinstance(other, TreeNumber):
+            return NotImplemented
+        product = TreeNumber(self.value * other.value)
+        both = self._powers is not None and other._powers is not None
+        product._powers = self._powers + other._powers if both else None
+        return product
 
     def __repr__(self):
-        return f"TreeNumber({self.value})"
+        return f"TreeNumber({format_decimal(self.value)})"
 
 
 class MultiGraph:
@@ -189,7 +210,7 @@ def exact_integer_determinant(matrix) -> int:
         if len(row) != n:
             raise ValueError("determinant needs a square matrix")
         for x in row:
-            if not isinstance(x, int):
+            if type(x) is not int:  # bool is an int subclass
                 raise ValueError(f"matrix entries must be integers, got {x!r}")
     if n == 0:
         return 1
@@ -541,7 +562,7 @@ def block_decomposition_kappa(graph, inner=None) -> TreeNumber:
     g = as_multigraph(graph)
     if not g.is_connected():
         return TreeNumber(0)
-    result = TreeNumber(1, {})
+    result = TreeNumber(1)
     for block in _biconnected_blocks(g):
         verts = sorted({x for u, v, _ in block for x in (u, v)})
         pos = {x: i for i, x in enumerate(verts)}

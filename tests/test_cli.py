@@ -5,11 +5,11 @@ import time
 
 import pytest
 
-from powertree import cli, closedform, errors
-from powertree.cli import _decimal, main
+from powertree import cli, closedform, errors, treecount
+from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import GroupSpec, build
-from powertree.numutil import is_prime, parse_factored
+from powertree.numutil import format_decimal, is_prime, parse_factored
 from powertree.specparse import parse_group_spec
 from powertree.treecount import quotient_kappa
 
@@ -182,6 +182,20 @@ def test_cmd_kappa_closed_form_factors_middle_determinant(capsys):
     assert parse_factored(factored) == expected.value
 
 
+def test_cmd_kappa_plain_output_never_factors(monkeypatch, capsys):
+    # the middle determinants of Z_5040 and of Z_9240 reduced resist the
+    # curve budget; plain output prints the decimal without trying
+    def refuse(n):
+        raise AssertionError("plain output factored a tree count")
+
+    monkeypatch.setattr(treecount, "try_factorize", refuse)
+    for argv in (["cyclic:5040"], ["cyclic:9240", "--reduced"]):
+        start = time.perf_counter()
+        assert main(["kappa", *argv, "--method", "closed-form"]) == 0
+        assert time.perf_counter() - start < 5
+        assert capsys.readouterr().out.strip().isdigit()
+
+
 def test_cmd_kappa_closed_form_checks_cap_first(capsys):
     # Z_p with p = 10^9 + 7: the closed form would raise n+1 to the power p-1
     start = time.perf_counter()
@@ -200,7 +214,7 @@ def test_cmd_kappa_at_the_order_cap(capsys):
         assert main(["kappa", "cyclic:10000", "--format", "json", *flags]) == 0
         assert time.perf_counter() - start < 5
         payload = json.loads(capsys.readouterr().out)
-        assert payload["kappa"] == _decimal(formula(10000).value)
+        assert payload["kappa"] == format_decimal(formula(10000).value)
     # the closed-form route takes the cap from the builder
     start = time.perf_counter()
     argv = ["kappa", "product:(cyclic:10000)x(cyclic:2)", "--method", "closed-form"]
@@ -220,7 +234,7 @@ def test_cmd_kappa_default_route_near_the_order_cap(capsys):
         assert time.perf_counter() - start < 5, text
         payload = json.loads(capsys.readouterr().out)
         assert payload["method"] == "quotient"
-        assert payload["kappa"] == _decimal(formula().value), text
+        assert payload["kappa"] == format_decimal(formula().value), text
     for text in ("sym:7", "product:(sym:5)x(cyclic:60)"):
         start = time.perf_counter()
         assert main(["kappa", text]) == 0, text
@@ -234,11 +248,11 @@ def test_cmd_kappa_beyond_int_str_digit_limit(capsys):
     payload = json.loads(capsys.readouterr().out)
     expected = quotient_kappa(build(GroupSpec("cyclic", (1500,)))).value
     assert len(payload["kappa"]) > sys.get_int_max_str_digits() > 0
-    assert payload["kappa"] == _decimal(expected)
+    assert payload["kappa"] == format_decimal(expected)
 
 
 def _parse_chunked(text):
-    """Inverse of _decimal that never hands int() more than 1000 digits."""
+    """Inverse of format_decimal that never hands int() more than 1000 digits."""
     digits = text.lstrip("-")
     value = 0
     for k in range(0, len(digits), 1000):
@@ -250,11 +264,11 @@ def _parse_chunked(text):
 def test_decimal_past_the_digit_limit():
     limit = sys.get_int_max_str_digits()
     for value in (10**limit, 10 ** (3 * limit) - 1, -(3**20000), 2**40000 + 12345):
-        text = _decimal(value)
+        text = format_decimal(value)
         assert text.lstrip("-")[0] != "0"
         assert _parse_chunked(text) == value
     for value in (0, 7, -12, 10**100 + 1):
-        assert _decimal(value) == str(value)
+        assert format_decimal(value) == str(value)
 
 
 def test_cmd_kappa_deterministic_output(capsys):
@@ -474,6 +488,16 @@ def test_cmd_det(tmp_path, capsys):
     floats.write_text("[[1.5, 0], [0, 2]]")
     assert main(["det", str(floats)]) == 2
 
+    # json.load raises a plain ValueError past the int-from-str digit limit
+    long = tmp_path / "long.json"
+    long.write_text(f"[[{'7' * 5000}]]")
+    assert main(["det", str(long)]) == 2
+
+    booleans = tmp_path / "bool.json"
+    booleans.write_text("[[true]]")
+    assert main(["det", str(booleans)]) == 2
+    assert capsys.readouterr().out == ""
+
     assert main(["det", str(tmp_path / "missing.json")]) == 2
 
 
@@ -490,6 +514,18 @@ def test_cmd_det_checks_dimension_cap_first(tmp_path, capsys):
     assert main(["det", path]) == 3
     assert time.perf_counter() - start < 5
     assert "capped" in capsys.readouterr().err
+
+
+def test_cmd_divisor_graph_checks_cap_first(capsys):
+    assert main(["divisor-graph", "10000", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["n"] == 10000
+    assert main(["divisor-graph", "10001"]) == 3
+    # two 61-bit primes: factoring their product first took seconds, then raised
+    semiprime = str(1152921504606847009 * 1152921504606847067)
+    start = time.perf_counter()
+    assert main(["divisor-graph", semiprime]) == 3
+    assert time.perf_counter() - start < 1
+    assert "cap" in capsys.readouterr().err
 
 
 def test_cmd_verify_minimal(capsys):

@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from powertree.closedform import (
-    _counted,
     divisor_graph,
     divisor_profile,
     kappa_cyclic,
@@ -30,7 +29,7 @@ from powertree.errors import (
 from powertree.groups import GroupSpec, build
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
-from powertree.treecount import quotient_kappa, temperley_kappa
+from powertree.treecount import TreeNumber, quotient_kappa, temperley_kappa
 
 
 def _build(text):
@@ -272,12 +271,12 @@ def test_kappa_semidirect_pq():
 
 
 def test_counted_factors_and_exact_division():
-    count = _counted("Z_6", [(6, 2), (1, 5), (7, 0), (3, -1)])
+    count = TreeNumber.from_powers("Z_6", [(6, 2), (1, 5), (7, 0), (3, -1)])
     assert count.value == 12
     assert count.factorization == {2: 2, 3: 1}
     # the message names the count and formats no power, however large
     with pytest.raises(DiscrepancyDetected, match=r"kappa\(Z_7\)"):
-        _counted("Z_7", [(10**5000 + 1, 1), (2, -1)])
+        TreeNumber.from_powers("Z_7", [(10**5000 + 1, 1), (2, -1)])
 
 
 def test_divisibility_corollary():

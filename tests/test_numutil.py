@@ -1,12 +1,13 @@
+import sys
 from math import prod
 
 import pytest
 
 from powertree import numutil
-from powertree.closedform import _counted
 from powertree.numutil import (
     divisors,
     factorize,
+    format_decimal,
     format_factored,
     is_prime,
     next_prime,
@@ -16,6 +17,7 @@ from powertree.numutil import (
     primes_upto,
     try_factorize,
 )
+from powertree.treecount import TreeNumber
 
 
 def test_is_prime_small():
@@ -94,9 +96,30 @@ def test_factoring_gives_up_after_one_shared_curve_budget(monkeypatch):
     hard = next_prime(2**100) * next_prime(2**101)
     with pytest.raises(ValueError, match="could not factor"):
         factorize(hard)
-    counted = _counted("test", [(hard, 1), (6, 2)])
+    counted = TreeNumber.from_powers("test", [(hard, 1), (6, 2)])
     assert counted.value == 36 * hard
     assert counted.factorization is None
+
+
+def test_tree_count_gives_up_once(monkeypatch):
+    # a resisting base spends the curve budget once, and never again on the
+    # whole value or in a product, however often the factorization is asked for
+    monkeypatch.setattr(numutil, "ECM_CURVES", 2)
+    sigmas = []
+    curve = numutil._ecm_curve
+
+    def logged_curve(m, sigma):
+        sigmas.append(sigma)
+        return curve(m, sigma)
+
+    monkeypatch.setattr(numutil, "_ecm_curve", logged_curve)
+    hard = next_prime(2**100) * next_prime(2**101)
+    count = TreeNumber.from_powers("t", [(hard, 1), (6, 2), (2, -1)])
+    for _ in range(3):
+        assert count.factorization is None
+        assert count.factored() == str(18 * hard)
+    assert (count * TreeNumber(2)).factorization is None
+    assert sigmas == [6, 7]
 
 
 def test_phi():
@@ -116,6 +139,13 @@ def test_p_part():
     assert p_part(360, 2) == 8
     assert p_part(25920, 3) == 81
     assert p_part(7, 2) == 1
+
+
+def test_format_decimal_without_a_digit_limit(monkeypatch):
+    # sys.get_int_max_str_digits is new in Python 3.10.7 and 3.11
+    monkeypatch.delattr(sys, "get_int_max_str_digits")
+    for value in (0, -12, 10**100 + 1):
+        assert format_decimal(value) == str(value)
 
 
 def test_format_and_parse_factored():

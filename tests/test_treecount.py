@@ -5,11 +5,13 @@ from math import prod
 import pytest
 
 from powertree.errors import DiscrepancyDetected, TooLarge, TrivialGroup
-from powertree.groups import build
+from powertree.groups import GroupSpec, build
+from powertree.numutil import format_decimal
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
 from powertree.table1 import GOLDEN_ROWS
 from powertree.treecount import (
+    FACTOR_VALUE_LIMIT,
     MultiGraph,
     TreeNumber,
     block_decomposition_kappa,
@@ -381,23 +383,34 @@ def test_treenumber_factored_strings():
     assert TreeNumber(0).factored() == "0"
     assert TreeNumber(1).factored() == "1"
     assert TreeNumber(540).factored() == "2^2*3^3*5"
-    assert TreeNumber(540, {2: 2, 3: 3, 5: 1}).factored() == "2^2*3^3*5"
+    assert TreeNumber.from_powers("t", [(6, 3), (5, 1), (2, -1)]).factored() == "2^2*3^3*5"
 
 
 def test_treenumber_symbolic_factors_validated():
     with pytest.raises(DiscrepancyDetected):
-        TreeNumber(10, {2: 1, 3: 1})
+        TreeNumber.from_powers("t", [(10, 1), (3, -1)])
     with pytest.raises(DiscrepancyDetected):
         TreeNumber(-1)
     # past the int-to-str digit limit the message still formats
     with pytest.raises(DiscrepancyDetected):
-        TreeNumber(10**5000, {2: 1})
+        TreeNumber.from_powers("t", [(10**5000 + 1, 1), (2, -1)])
 
 
 def test_treenumber_multiplication():
-    a = TreeNumber(12, {2: 2, 3: 1})
-    b = TreeNumber(27, {3: 3})
+    a = TreeNumber.from_powers("a", [(2, 2), (3, 1)])
+    b = TreeNumber.from_powers("b", [(3, 3)])
     c = a * b
     assert c.value == 324
     assert c.factorization == {2: 2, 3: 4}
     assert a == 12 and a != 13
+    # a bare count past FACTOR_VALUE_LIMIT stays unfactored in a product
+    assert (a * TreeNumber(FACTOR_VALUE_LIMIT + 1)).factorization is None
+    assert (a * TreeNumber(FACTOR_VALUE_LIMIT)).factorization == {2: 152, 3: 1, 5: 150}
+
+
+def test_treenumber_renders_past_the_digit_limit():
+    # both raised an untyped int-to-str ValueError before
+    assert repr(TreeNumber(10**5000)) == f"TreeNumber(1{'0' * 5000})"
+    count = quotient_kappa(build(GroupSpec("cyclic", (1500,))))
+    assert count.factorization is None
+    assert count.factored() == format_decimal(count.value)
