@@ -14,8 +14,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cache
 
 from . import classify as classify_mod
 from . import closedform, table1
@@ -25,7 +25,7 @@ from .numutil import format_decimal
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
-from .treecount import block_decomposition_kappa, quotient_kappa
+from .treecount import block_decomposition_kappa, check_dense_dim, quotient_kappa
 
 
 @dataclass
@@ -100,6 +100,8 @@ def _compute_record(
     if used == "quotient":
         result = quotient_kappa(g, reduced)
     elif used != "closed-form":
+        if used == "matrix-tree":  # |G| is known before the graph is built
+            check_dense_dim(g.order - reduced, "matrix-tree")
         graph = reduced_power_graph(g) if reduced else power_graph(g)
         if used == "matrix-tree":
             result = temperley_kappa(graph)
@@ -124,7 +126,14 @@ def cmd_kappa(args) -> int:
     )
     records = []
     for method in methods:
-        record = _compute_record(spec, method, args.reduced, fallback=args.method != "all")
+        try:
+            record = _compute_record(spec, method, args.reduced, fallback=args.method != "all")
+        except TooLarge as exc:
+            # above the dense cap, `all` leaves the determinant routes out
+            if args.method != "all" or method not in ("matrix-tree", "decomposition"):
+                raise
+            print(f"note: {method} left out: {exc}", file=sys.stderr)
+            continue
         if record is not None:
             records.append(record)
     values = {r.kappa for r in records}
@@ -176,6 +185,8 @@ def cmd_verify(args) -> int:
     cap = max_order()
     if args.max_n > cap:
         raise UnsupportedOrder(f"--max-n {args.max_n} > order cap {cap}")
+    # Z_n's full graph has the largest determinant, of n rows
+    check_dense_dim(args.max_n, "verify --max-n")
     if args.jobs < 1:
         raise OutOfRange("--jobs must be >= 1")
     values = range(1, args.max_n + 1)
@@ -183,6 +194,9 @@ def cmd_verify(args) -> int:
     # values of n only costs processes
     workers = min(args.jobs, os.cpu_count() or 1, args.max_n)
     if workers > 1:
+        # imported here: multiprocessing costs every other command its import
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_single, values))
     else:
@@ -255,12 +269,6 @@ def cmd_graph(args) -> int:
     return 0
 
 
-# `det FILE` reads its matrix from outside. Bareiss on a dense 200x200 matrix
-# with entries in -9..9 took about 4 s (Python 3.11, one core of a shared
-# x86-64 host), and its time grows about 2^4.3-fold per doubling of the size.
-DET_MAX_DIM = 200
-
-
 def cmd_det(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -269,8 +277,7 @@ def cmd_det(args) -> int:
         raise InvalidSpec(f"cannot read matrix from {args.file}: {exc}") from exc
     if not isinstance(matrix, list) or not all(isinstance(r, list) for r in matrix):
         raise InvalidSpec("matrix file must hold a JSON array of arrays")
-    if len(matrix) > DET_MAX_DIM:
-        raise TooLarge(f"det capped at dimension {DET_MAX_DIM}, got {len(matrix)}")
+    check_dense_dim(len(matrix), "det")
     try:
         print(format_decimal(exact_integer_determinant(matrix)))
     except (ValueError, TypeError) as exc:
@@ -278,7 +285,9 @@ def cmd_det(args) -> int:
     return 0
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each parse still returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="powertree",
         description="Exact spanning-tree counts of power graphs of finite groups.",

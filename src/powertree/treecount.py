@@ -15,13 +15,25 @@ has a zero row: some component has no path to the root, and the count is 0.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import prod
+from math import gcd, prod
 
 from .errors import DiscrepancyDetected, TooLarge, TrivialGroup
 from .numutil import format_decimal, format_factored, try_factorize
 
 FACTOR_VALUE_LIMIT = 10**150
+
+# The largest dense determinant the package starts: det FILE, the
+# matrix-tree route, each block of the decomposition route, and verify's
+# Z_n. By Bareiss on one core of a shared x86-64 host (Python 3.11), the
+# 360-row det(J+Q) of a power graph took 12 s for A_6, 56 s for Z_360 and
+# 72 s for D_360, whose entries grow to more bits; A_6 must stay countable.
+DENSE_MAX_DIM = 360
+
+
+def check_dense_dim(dim: int, what: str) -> None:
+    """Raise TooLarge, before any work, for a dense determinant above the cap."""
+    if dim > DENSE_MAX_DIM:
+        raise TooLarge(f"{what} capped at dimension {DENSE_MAX_DIM}, got {dim}")
 
 
 class TreeNumber:
@@ -261,6 +273,7 @@ def temperley_kappa(graph) -> TreeNumber:
     n = graph.vertex_count
     if n < 1:
         raise ValueError("temperley_kappa needs at least one vertex")
+    check_dense_dim(n, "matrix-tree")
     det = exact_integer_determinant(_ones_plus_laplacian(as_multigraph(graph)))
     q, r = divmod(det, n * n)
     if r != 0:
@@ -278,48 +291,70 @@ def _root_deleted_determinant(adj: list[dict], kept) -> int:
     `adj[v]` maps each neighbour u of v to the Laplacian entry -w(u, v) and
     is consumed. The root r is the vertex of most neighbours. The pivots
     come in minimum-degree order from a bucket queue; a zero pivot gives 0.
+    Every entry, and the pivot product, is a pair (numerator, denominator)
+    of ints, reduced by one gcd when it is stored; the denominators stay
+    positive because the pivots of a positive semidefinite matrix are.
     """
     root = max(kept, key=lambda v: len(adj[v]))
-    diag = {v: Fraction(-sum(adj[v].values())) for v in kept}
+    diag = {v: (-sum(adj[v].values()), 1) for v in kept}
     rows = {v: adj[v] for v in kept if v != root}
     for row in rows.values():
         row.pop(root, None)
+        for u, x in row.items():
+            row[u] = (x, 1)
     buckets = [set() for _ in range(len(rows))]
     for v, row in rows.items():
         buckets[len(row)].add(v)
-    det = Fraction(1)
+    det_n, det_d = 1, 1
     low = 0
     for _ in range(len(rows)):
         while not buckets[low]:
             low += 1
         v = buckets[low].pop()
-        pivot = diag[v]
-        if not pivot:
+        pn, pd = diag[v]
+        if not pn:
             return 0
-        det *= pivot
+        n, d = det_n * pn, det_d * pd
+        g = gcd(n, d)
+        det_n, det_d = n // g, d // g
         row = rows.pop(v)
         nbrs = list(row.items())
         for a, _ in nbrs:
             buckets[len(rows[a])].discard(a)
-        for i, (a, x) in enumerate(nbrs):
+        for i, (a, (xn, xd)) in enumerate(nbrs):
             ra = rows[a]
             del ra[v]
-            f = x / pivot
-            diag[a] -= f * x
+            # f = x / pivot, and entry -= f * y for each later neighbour y
+            fn, fd = xn * pd, xd * pn
+            g = gcd(fn, fd)
+            fn, fd = fn // g, fd // g
+            an, ad = diag[a]
+            tn, td = fn * xn, fd * xd
+            n, d = an * td - tn * ad, ad * td
+            g = gcd(n, d)
+            diag[a] = (n // g, d // g)
             # Schur update; off-diagonal entries only grow in size, so the
             # nonzero pattern is exactly the symbolic fill
-            for b, y in nbrs[i + 1 :]:
-                ra[b] = rows[b][a] = ra.get(b, 0) - f * y
+            for b, (yn, yd) in nbrs[i + 1 :]:
+                tn, td = fn * yn, fd * yd
+                entry = ra.get(b)
+                if entry is None:
+                    n, d = -tn, td
+                else:
+                    en, ed = entry
+                    n, d = en * td - tn * ed, ed * td
+                g = gcd(n, d)
+                ra[b] = rows[b][a] = (n // g, d // g)
         for a, _ in nbrs:
             degree = len(rows[a])
             buckets[degree].add(a)
             low = min(low, degree)
-    if det.denominator != 1:
+    if det_d != 1:
         raise DiscrepancyDetected(
-            f"pivot product of {det.numerator.bit_length()} bits over"
-            f" {det.denominator.bit_length()} bits is not an integer"
+            f"pivot product of {det_n.bit_length()} bits over"
+            f" {det_d.bit_length()} bits is not an integer"
         )
-    return det.numerator
+    return det_n
 
 
 def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
@@ -556,18 +591,24 @@ def block_decomposition_kappa(graph, inner=None) -> TreeNumber:
     over the whole block tree lets `inner` (default the determinant route)
     handle each block in isolation. A cut edge of multiplicity m is a K_2
     block contributing m. A disconnected graph counts 0, as on every route.
+    On the default route every block is checked against the dense cap before
+    the first determinant.
     """
-    if inner is None:
-        inner = temperley_kappa
     g = as_multigraph(graph)
     if not g.is_connected():
         return TreeNumber(0)
-    result = TreeNumber(1)
+    subs = []
     for block in _biconnected_blocks(g):
         verts = sorted({x for u, v, _ in block for x in (u, v)})
         pos = {x: i for i, x in enumerate(verts)}
         sub = MultiGraph(len(verts))
         for u, v, m in block:
             sub.add_edge(pos[u], pos[v], m)
+        subs.append(sub)
+    if inner is None:
+        inner = temperley_kappa
+        check_dense_dim(max((sub.vertex_count for sub in subs), default=0), "decomposition block")
+    result = TreeNumber(1)
+    for sub in subs:
         result = result * inner(sub)
     return result

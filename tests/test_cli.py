@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import subprocess
 import sys
 import time
 
@@ -379,7 +381,7 @@ def test_cmd_verify_caps_jobs(monkeypatch, capsys):
         def map(self, fn, values):
             return map(fn, values)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: 4)
     for max_n, jobs in ((2, 100000), (12, 100000), (12, 3), (3, 1)):
         assert main(["verify", "--max-n", str(max_n), "--jobs", str(jobs)]) == 0
@@ -507,7 +509,7 @@ def test_cmd_det_checks_dimension_cap_first(tmp_path, capsys):
         path.write_text(json.dumps([[0] * dim for _ in range(dim)]))
         return str(path)
 
-    assert main(["det", zeros(cli.DET_MAX_DIM)]) == 0
+    assert main(["det", zeros(treecount.DENSE_MAX_DIM)]) == 0
     assert capsys.readouterr().out == "0\n"
     path = zeros(1000)
     start = time.perf_counter()
@@ -532,3 +534,76 @@ def test_cmd_verify_minimal(capsys):
     assert main(["verify", "--max-n", "1"]) == 0
     assert "all n up to 1 verified" in capsys.readouterr().out
     assert main(["verify", "--max-n", "0"]) == 2
+
+
+def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    built = []
+
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        if kwargs.get("prog") == "powertree":
+            built.append(1)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # start from an empty cache, and leave it empty
+    clear = getattr(cli._build_parser, "cache_clear", lambda: None)
+    clear()
+    try:
+        assert main(["kappa", "cyclic:12", "--format", "json"]) == 0
+        first = capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            main(["kappa", "cyclic:12", "--method", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert main(["kappa", "cyclic:12", "--format", "json"]) == 0
+        assert capsys.readouterr().out == first
+        assert main(["kappa", "cyclic:6", "--reduced"]) == 0
+        assert capsys.readouterr().out == "40\n"
+        # every parse gets a fresh namespace: no flag carries over
+        assert main(["kappa", "cyclic:6"]) == 0
+        assert capsys.readouterr().out == "540\n"
+        assert built == [1]
+    finally:
+        clear()
+
+
+def test_import_leaves_the_process_pool_out():
+    code = (
+        "import sys, powertree.cli\n"
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process',"
+        " 'socket', 'subprocess') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kappa", "dihedral:1000", "--method", "matrix-tree"],
+        ["kappa", "cyclic:400", "--method", "decomposition"],
+        ["kappa", "cyclic:400", "--reduced", "--method", "matrix-tree"],
+        ["verify", "--max-n", "10000"],
+    ],
+)
+def test_dense_routes_check_the_cap_first(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 5
+    assert f"capped at dimension {treecount.DENSE_MAX_DIM}" in capsys.readouterr().err
+
+
+def test_cmd_kappa_method_all_leaves_out_dense_routes_above_the_cap(capsys):
+    start = time.perf_counter()
+    assert main(["kappa", "dihedral:1000", "--method", "all"]) == 0
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    value = format_decimal(closedform.kappa_dihedral(1000).value)
+    assert captured.out == f"quotient: {value}\nclosed-form: {value}\n"
+    assert "note: matrix-tree left out" in captured.err
+    assert "note: decomposition left out" in captured.err

@@ -14,6 +14,7 @@ from powertree.treecount import (
     FACTOR_VALUE_LIMIT,
     MultiGraph,
     TreeNumber,
+    _root_deleted_determinant,
     block_decomposition_kappa,
     deletion_contraction_kappa,
     enumerate_spanning_trees,
@@ -331,11 +332,56 @@ def _dense_quotient_kappa(group, reduced=False):
     return value
 
 
-@pytest.mark.parametrize("text", ["alt:6", "dihedral:180", "quaternion:90"])
+@pytest.mark.parametrize(
+    "text", ["alt:6", "dihedral:180", "quaternion:90", "sym:5", "product:(sym:4)x(cyclic:6)"]
+)
 def test_quotient_matches_dense_quotient(text):
     g = build(parse_group_spec(text))
     for reduced in (False, True):
         assert quotient_kappa(g, reduced).value == _dense_quotient_kappa(g, reduced), text
+
+
+def _root_deleted_oracle(n, edges):
+    """The weighted Laplacian with vertex 0 deleted, by cofactor expansion."""
+    lap = [[0] * n for _ in range(n)]
+    for u, v, w in edges:
+        lap[u][v] -= w
+        lap[v][u] -= w
+        lap[u][u] += w
+        lap[v][v] += w
+    det = _cofactor_det([row[1:] for row in lap[1:]])
+    assert det.denominator == 1
+    return det.numerator
+
+
+def _weighted_adj(n, edges):
+    adj = [{} for _ in range(n)]
+    for u, v, w in edges:
+        adj[u][v] = adj[v][u] = -w
+    return adj
+
+
+def test_root_deleted_determinant_on_weighted_graphs():
+    # the root is 0; pivots 5 (vertex 1) and 12 (vertex 3) leave vertex 2 the
+    # fractional pivot 9 - 9/5 - 25/12 = 307/60, and 5 * 12 * 307/60 = 307
+    cycle = [(0, 1, 2), (1, 2, 3), (2, 3, 5), (3, 0, 7), (0, 2, 1)]
+    assert _root_deleted_determinant(_weighted_adj(4, cycle), range(4)) == 307
+    assert _root_deleted_oracle(4, cycle) == 307
+    rng = random.Random(7)
+    for _ in range(30):
+        n = rng.randint(2, 7)
+        edges = [
+            (u, v, rng.randint(1, 9))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < 0.6
+        ]
+        got = _root_deleted_determinant(_weighted_adj(n, edges), range(n))
+        assert got == _root_deleted_oracle(n, edges), edges
+    # two components: a zero pivot, and the count is 0
+    split = [(0, 1, 4), (0, 2, 3), (1, 2, 2), (3, 4, 6)]
+    assert _root_deleted_determinant(_weighted_adj(5, split), range(5)) == 0
+    assert _root_deleted_oracle(5, split) == 0
 
 
 def test_quotient_matches_block_product_a6():
