@@ -89,13 +89,11 @@ def _compute_record(
     if method == "closed-form":
         result = _closed_form(spec, g, reduced)
         if result is None:
+            missing = f"no closed form for {spec.render()}{' (reduced)' if reduced else ''}"
             if not fallback:
+                print(f"note: closed-form left out: {missing}", file=sys.stderr)
                 return None
-            print(
-                f"note: no closed form for {spec.render()}"
-                f"{' (reduced)' if reduced else ''}; using quotient",
-                file=sys.stderr,
-            )
+            print(f"note: {missing}; using quotient", file=sys.stderr)
             used = "quotient"
     if used == "quotient":
         result = quotient_kappa(g, reduced)

@@ -2,12 +2,15 @@
 
 Vertices x, y are adjacent exactly when one of the cyclic subgroups <x>, <y>
 contains the other. Adjacency is kept as packed bit rows, one integer per
-vertex, which keeps the later determinant assembly cheap.
+vertex, which keeps the later determinant assembly cheap. Edge walks and
+rendering list one closed neighbourhood per cyclic subgroup, shared by its
+generators (closed twins), and slice it for each vertex.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from math import gcd
 
 from .errors import OutOfRange, TooLarge, TrivialGroup
@@ -15,6 +18,8 @@ from .groups import FiniteGroup
 from .numutil import divisors, phi
 
 CLIQUE_SEARCH_LIMIT = 512
+# cyclic:2000 (1 777 660 edges) renders as JSON in about 0.5 s at 84 MB peak
+RENDER_EDGE_LIMIT = 2_000_000
 
 
 class PowerGraph:
@@ -35,18 +40,24 @@ class PowerGraph:
         return self.rows[v].bit_count()
 
     def edges(self):
-        for u, row in enumerate(self.rows):
-            bits = bin(row)[:1:-1]  # bits[v] is bit v of the row
-            v = bits.find("1", u + 1)
-            while v >= 0:
-                yield (u, v)
-                v = bits.find("1", v + 1)
+        return ((u, v) for u, later in _later_neighbours(self.rows) for v in later)
 
     def edge_count(self) -> int:
         return sum(self.degree(v) for v in range(self.vertex_count)) // 2
 
     def __repr__(self):
         return f"PowerGraph({self.name}, n={self.vertex_count}, m={self.edge_count()})"
+
+
+def _later_neighbours(rows):
+    """Yield (u, sorted neighbours v > u) per vertex u. Closed twins share the key
+    row | 1 << u, whose vertex tuple is built once; u slices it after its own bit."""
+    closed = {}
+    for u, row in enumerate(rows):
+        key = row | 1 << u
+        if key not in closed:  # bin(key)[:1:-1][v] is bit v of the key
+            closed[key] = tuple(m.start() for m in re.finditer("1", bin(key)[:1:-1]))
+        yield u, closed[key][(key & ((2 << u) - 1)).bit_count():]
 
 
 def power_graph(g: FiniteGroup) -> PowerGraph:
@@ -147,21 +158,24 @@ def clique_number(graph: PowerGraph) -> int:
     return best
 
 
+def _check_render_cap(graph: PowerGraph) -> None:
+    if (m := graph.edge_count()) > RENDER_EDGE_LIMIT:
+        raise TooLarge(f"rendering capped at {RENDER_EDGE_LIMIT} edges; {graph.name} has {m}")
+
+
 def to_json(graph: PowerGraph) -> str:
     """Canonical JSON adjacency: {"vertices": N, "edges": [...], "labels": {...}}."""
-    payload = {
-        "vertices": graph.vertex_count,
-        "edges": [[u, v] for u, v in graph.edges()],
-        "labels": {str(v): graph.vertex_names[v] for v in range(graph.vertex_count)},
-    }
-    return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
+    _check_render_cap(graph)
+    edges = ", ".join(f"[{u}, " + f"], [{u}, ".join(map(str, later)) + "]"
+                      for u, later in _later_neighbours(graph.rows) if later)
+    labels = json.dumps({str(v): name for v, name in enumerate(graph.vertex_names)},
+                        ensure_ascii=False, separators=(", ", ": "))
+    return f'{{"vertices": {graph.vertex_count}, "edges": [{edges}], "labels": {labels}}}'
 
 
 def to_dot(graph: PowerGraph) -> str:
-    lines = [f'graph "{graph.name}" {{']
-    for v in range(graph.vertex_count):
-        lines.append(f'  {v} [label="{graph.vertex_names[v]}"];')
-    for u, v in graph.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    _check_render_cap(graph)
+    nodes = "".join(f'  {v} [label="{name}"];\n' for v, name in enumerate(graph.vertex_names))
+    edges = "".join(f"  {u} -- " + f";\n  {u} -- ".join(map(str, later)) + ";\n"
+                    for u, later in _later_neighbours(graph.rows) if later)
+    return f'graph "{graph.name}" {{\n{nodes}{edges}}}\n'

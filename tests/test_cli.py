@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from powertree import cli, closedform, errors, treecount
+from powertree import cli, closedform, errors, powergraph, treecount
 from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import GroupSpec, build
@@ -607,3 +607,20 @@ def test_cmd_kappa_method_all_leaves_out_dense_routes_above_the_cap(capsys):
     assert captured.out == f"quotient: {value}\nclosed-form: {value}\n"
     assert "note: matrix-tree left out" in captured.err
     assert "note: decomposition left out" in captured.err
+
+
+@pytest.mark.parametrize("spec, fmt", [("cyclic:5040", "json"), ("cyclic:10000", "dot")])
+def test_cmd_graph_checks_the_edge_cap_first(spec, fmt, capsys):
+    start = time.perf_counter()
+    assert main(["graph", spec, "--format", fmt]) == 3
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"capped at {powergraph.RENDER_EDGE_LIMIT} edges" in captured.err
+
+
+def test_cmd_kappa_method_all_notes_a_missing_closed_form(capsys):
+    assert main(["kappa", "sym:4", "--method", "all"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "quotient: 331776\nmatrix-tree: 331776\ndecomposition: 331776\n"
+    assert captured.err == "note: closed-form left out: no closed form for sym:4\n"

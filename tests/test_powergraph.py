@@ -1,7 +1,11 @@
+import hashlib
+import json
 from collections import Counter
 
 import pytest
 
+from powertree import powergraph
+from powertree.cli import main
 from powertree.errors import OutOfRange, TooLarge, TrivialGroup
 from powertree.groups import build, count_cyclic_subgroups
 from powertree.numutil import factorize
@@ -240,8 +244,6 @@ def test_clique_number_cap():
 
 
 def test_json_emitter_schema():
-    import json
-
     payload = json.loads(to_json(_graph("cyclic:4")))
     assert payload["vertices"] == 4
     assert sorted(payload["edges"]) == [[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]]
@@ -254,3 +256,86 @@ def test_dot_emitter():
     assert dot.startswith('graph "P(Z_3)"')
     assert "0 -- 1;" in dot and "1 -- 2;" in dot
     assert dot.rstrip().endswith("}")
+
+
+def _per_edge_json(graph):
+    """Reference JSON emitter: one [u, v] list per edge, encoded by json.dumps."""
+    payload = {
+        "vertices": graph.vertex_count,
+        "edges": [[u, v] for u, v in _bitwise_edges(graph)],
+        "labels": {str(v): graph.vertex_names[v] for v in range(graph.vertex_count)},
+    }
+    return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
+
+
+def _per_edge_dot(graph):
+    """Reference DOT emitter: one line per vertex, then one line per edge."""
+    lines = [f'graph "{graph.name}" {{']
+    for v in range(graph.vertex_count):
+        lines.append(f'  {v} [label="{graph.vertex_names[v]}"];')
+    for u, v in _bitwise_edges(graph):
+        lines.append(f"  {u} -- {v};")
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def _check_renders_like_per_edge(graph):
+    assert to_json(graph) == _per_edge_json(graph)
+    assert to_dot(graph) == _per_edge_dot(graph)
+
+
+@pytest.mark.parametrize("text", ORACLE_SPECS)
+def test_emitters_match_per_edge_reference(text):
+    g = build(parse_group_spec(text))
+    _check_renders_like_per_edge(power_graph(g))
+    if g.order >= 2:
+        _check_renders_like_per_edge(reduced_power_graph(g))
+
+
+def test_emitters_on_edgeless_graphs():
+    one = _graph("cyclic:1")
+    assert to_json(one) == '{"vertices": 1, "edges": [], "labels": {"0": "1"}}'
+    assert to_dot(one) == 'graph "P(Z_1)" {\n  0 [label="1"];\n}\n'
+    isolated = _graph("elemabelian:2^3", reduced=True)
+    assert isolated.edge_count() == 0
+    assert json.loads(to_json(isolated))["edges"] == []
+    _check_renders_like_per_edge(isolated)
+
+
+# SHA-1 of `graph SPEC --format FMT [--reduced]` stdout, recorded before the
+# emitters walked one neighbourhood per cyclic subgroup
+GOLDEN_GRAPH_SHA1 = [
+    (("sym:5", "json", False), "d2c4808689293fadf0ee8930e6082121f6b19e02"),
+    (("sym:5", "json", True), "8b0cd2a0bd7e3009aad7ea2900d407b81e3f988b"),
+    (("sym:5", "dot", False), "a788de7f856155ab725d38444f28bc8c4b399237"),
+    (("sym:5", "dot", True), "f873275287509ffaeeec619eb37051ea220ad830"),
+    (("dihedral:30", "json", False), "c7399319ec294c2faa17e9d515c6ec38a91f8cbb"),
+    (("dihedral:30", "json", True), "71e8acb3a52a653cf1fa6a89d99480ffacfd0b67"),
+    (("dihedral:30", "dot", False), "06b35235839c3df47cde650bbd6130a46f3d85a4"),
+    (("dihedral:30", "dot", True), "1c0ea7e2d20d16ce2cdb9d8110d03a39e6004c06"),
+    (("quaternion:6", "json", False), "66906e1b23f6672e3df1463c55c6ea907d1dba82"),
+    (("quaternion:6", "json", True), "c18aa45c6c413e05ada2a6d4bb4d1b63dbaad2f0"),
+    (("quaternion:6", "dot", False), "5e6129e432e0ddf7e4afef7ab8243cc967dfa7f3"),
+    (("quaternion:6", "dot", True), "475cc8f5c8a0aee810bbd608f8faabb5a224a959"),
+    (("cyclic:60", "json", False), "40f0a810e43f12282895dee2e045b2b0cc28163a"),
+    (("cyclic:60", "json", True), "4c306819e81aea478081750d43dc6463c2b04423"),
+    (("cyclic:60", "dot", False), "d9b922b07dfaf1b8994909e2cd49932340eedf4b"),
+    (("cyclic:60", "dot", True), "d6f495972ea3e7469015ff881b49353fcf79e440"),
+]
+
+
+@pytest.mark.parametrize("case, sha1", GOLDEN_GRAPH_SHA1)
+def test_graph_output_matches_golden_hash(case, sha1, capsys):
+    spec, fmt, reduced = case
+    assert main(["graph", spec, "--format", fmt] + (["--reduced"] if reduced else [])) == 0
+    assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == sha1
+
+
+def test_emitters_check_the_edge_cap(monkeypatch):
+    graph = _graph("cyclic:4")  # 6 edges
+    monkeypatch.setattr(powergraph, "RENDER_EDGE_LIMIT", 6)
+    _check_renders_like_per_edge(graph)
+    monkeypatch.setattr(powergraph, "RENDER_EDGE_LIMIT", 5)
+    for emit in (to_json, to_dot):
+        with pytest.raises(TooLarge, match="capped at 5 edges"):
+            emit(graph)

@@ -9,7 +9,7 @@ rather than an exception escaping `main`.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from test_groups import _check_cyclic_partition
-from test_powergraph import _pairwise_rows
+from test_powergraph import _check_renders_like_per_edge, _pairwise_rows
 
 from powertree.cli import main
 from powertree.groups import GroupSpec, build
@@ -40,6 +40,15 @@ def test_power_graph_rows_match_pairwise_rule_on_random_perm_groups(spec):
     assert power_graph(g).rows == _pairwise_rows(g)
     if g.order >= 2:
         assert reduced_power_graph(g).rows == _pairwise_rows(g, reduced=True)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(perm_specs())
+def test_emitters_match_per_edge_reference_on_random_perm_groups(spec):
+    g = build(spec)
+    _check_renders_like_per_edge(power_graph(g))
+    if g.order >= 2:
+        _check_renders_like_per_edge(reduced_power_graph(g))
 
 
 @settings(max_examples=50, deadline=None, database=None)
