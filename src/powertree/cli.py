@@ -19,7 +19,7 @@ from functools import cache
 
 from . import classify as classify_mod
 from . import closedform, table1
-from .errors import InvalidSpec, NotEPO, OutOfRange, PowerTreeError, TooLarge, UnsupportedOrder
+from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge, UnsupportedOrder
 from .groups import FiniteGroup, GroupSpec, build, max_order
 from .numutil import format_decimal
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
@@ -53,87 +53,46 @@ class OutputRecord:
         return payload
 
 
-def _closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber | None:
-    """Formula-based count when one applies to this family, else None."""
-    k, p = spec.kind, spec.params
-    if k == "cyclic":
-        return closedform.kappa_cyclic(p[0], reduced)
-    if k == "dihedral":
-        return None if reduced else closedform.kappa_dihedral(p[0])
-    if k == "quaternion":
-        n = p[0]
-        if reduced:
-            return closedform.kappa_quaternion_reduced(n)
-        if n & (n - 1) == 0:
-            return closedform.kappa_quaternion_pow2(n)
-        return None
-    if reduced:
-        return None
-    if k == "elemabelian":
-        return closedform.kappa_elementary_abelian(*p)
-    if k == "semidirect":
-        return closedform.kappa_semidirect_pq(*p)
-    try:
-        return closedform.kappa_epo(g)
-    except NotEPO:
-        return None
-
-
-def _compute_record(
-    spec: GroupSpec, method: str, reduced: bool, fallback: bool = True
-) -> OutputRecord | None:
-    start = time.perf_counter()
-    # the builder checks the order cap, before any formula raises to powers near it
-    g = build(spec)
-    used = method
+def _count(spec: GroupSpec, g: FiniteGroup, method: str, reduced: bool) -> TreeNumber | None:
+    """One route's count of g, built from spec; None when no closed form applies."""
     if method == "closed-form":
-        result = _closed_form(spec, g, reduced)
-        if result is None:
-            missing = f"no closed form for {spec.render()}{' (reduced)' if reduced else ''}"
-            if not fallback:
-                print(f"note: closed-form left out: {missing}", file=sys.stderr)
-                return None
-            print(f"note: {missing}; using quotient", file=sys.stderr)
-            used = "quotient"
-    if used == "quotient":
-        result = quotient_kappa(g, reduced)
-    elif used != "closed-form":
-        if used == "matrix-tree":  # |G| is known before the graph is built
-            check_dense_dim(g.order - reduced, "matrix-tree")
-        graph = reduced_power_graph(g) if reduced else power_graph(g)
-        if used == "matrix-tree":
-            result = temperley_kappa(graph)
-        else:
-            result = block_decomposition_kappa(graph)
-    return OutputRecord(
-        group=g.name,
-        order=g.order,
-        method=used,
-        kappa=result,
-        reduced=reduced,
-        elapsed_ms=(time.perf_counter() - start) * 1000,
-    )
+        return closedform.closed_form(spec, g, reduced)
+    if method == "quotient":
+        return quotient_kappa(g, reduced)
+    if method == "matrix-tree":  # |G| is known before the graph is built
+        check_dense_dim(g.order - reduced, "matrix-tree")
+    graph = reduced_power_graph(g) if reduced else power_graph(g)
+    if method == "matrix-tree":
+        return temperley_kappa(graph)
+    return block_decomposition_kappa(graph)
 
 
 def cmd_kappa(args) -> int:
     spec = parse_group_spec(args.spec)
-    methods = (
-        ["quotient", "matrix-tree", "decomposition", "closed-form"]
-        if args.method == "all"
-        else [args.method]
-    )
+    # the builder checks the order cap, before any formula raises to powers near it
+    g = build(spec)
+    every = args.method == "all"
+    methods = ["quotient", "matrix-tree", "decomposition", "closed-form"] if every else [args.method]
     records = []
     for method in methods:
+        start = time.perf_counter()
         try:
-            record = _compute_record(spec, method, args.reduced, fallback=args.method != "all")
+            result = _count(spec, g, method, args.reduced)
         except TooLarge as exc:
             # above the dense cap, `all` leaves the determinant routes out
-            if args.method != "all" or method not in ("matrix-tree", "decomposition"):
+            if not every or method not in ("matrix-tree", "decomposition"):
                 raise
             print(f"note: {method} left out: {exc}", file=sys.stderr)
             continue
-        if record is not None:
-            records.append(record)
+        if result is None:
+            missing = f"no closed form for {spec.render()}{' (reduced)' if args.reduced else ''}"
+            if every:
+                print(f"note: closed-form left out: {missing}", file=sys.stderr)
+                continue
+            print(f"note: {missing}; using quotient", file=sys.stderr)
+            method, result = "quotient", _count(spec, g, "quotient", args.reduced)
+        elapsed_ms = (time.perf_counter() - start) * 1000
+        records.append(OutputRecord(g.name, g.order, method, result, args.reduced, elapsed_ms))
     values = {r.kappa for r in records}
     if len(values) > 1:
         print("discrepancy between methods:", file=sys.stderr)
@@ -166,11 +125,11 @@ def cmd_table1(args) -> int:
 
 def _verify_single(n: int) -> tuple[int, str | None]:
     """Closed forms against determinants for Z_n; returns (n, failure or None)."""
-    g = build(GroupSpec("cyclic", (n,)))
+    spec = GroupSpec("cyclic", (n,))
+    g = build(spec)
     for reduced in (False, True) if n > 1 else (False,):
-        closed = closedform.kappa_cyclic(n, reduced).value
-        graph = reduced_power_graph(g) if reduced else power_graph(g)
-        direct = temperley_kappa(graph).value
+        closed = _count(spec, g, "closed-form", reduced).value
+        direct = _count(spec, g, "matrix-tree", reduced).value
         if closed != direct:
             name = f"Z_{n} reduced" if reduced else f"Z_{n}"
             return n, f"kappa({name}): closed form {closed} != matrix-tree {direct}"

@@ -9,6 +9,7 @@ Everything is evaluated in exact integer or rational arithmetic. Each
 formula is a product of powers, written as (base, exponent) pairs with a
 negative exponent dividing; `TreeNumber.from_powers` evaluates it and keeps
 the pairs, so the count is factored from its bases when the output asks.
+`closed_form` is the one choice of a catalog group's formula, or of none.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .errors import (
     TooManyDivisors,
     TrivialGroup,
 )
-from .groups import FiniteGroup, count_cyclic_subgroups
+from .groups import FiniteGroup, GroupSpec, count_cyclic_subgroups
 from .numutil import divisors, factorize, is_prime, phi  # bench/child.py wraps factorize
 from .powergraph import degree_in_cyclic
 from .treecount import TreeNumber, exact_integer_determinant
@@ -259,3 +260,29 @@ def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
             f"need primes with q < p and p = 1 mod q, got ({p}, {q})"
         )
     return TreeNumber.from_powers(f"Z_{p}⋊Z_{q}", [(p, p - 2), (q, p * (q - 2))])
+
+
+def closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber | None:
+    """Formula-based count when one applies to this family, else None."""
+    k, p = spec.kind, spec.params
+    if k == "cyclic":
+        return kappa_cyclic(p[0], reduced)
+    if k == "dihedral":
+        return None if reduced else kappa_dihedral(p[0])
+    if k == "quaternion":
+        n = p[0]
+        if reduced:
+            return kappa_quaternion_reduced(n)
+        if n & (n - 1) == 0:
+            return kappa_quaternion_pow2(n)
+        return None
+    if reduced:
+        return None
+    if k == "elemabelian":
+        return kappa_elementary_abelian(*p)
+    if k == "semidirect":
+        return kappa_semidirect_pq(*p)
+    try:
+        return kappa_epo(g)
+    except NotEPO:
+        return None

@@ -10,28 +10,17 @@ cyclic subgroup; the power graph and the tree counts read only that partition.
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial, gcd
+from typing import NamedTuple
 
 from .errors import InvalidSpec, NotPrime, UnsupportedOrder
 from .numutil import is_prime
 
 DEFAULT_MAX_ORDER = 10_000
 MAX_PERM_DEGREE = 8
-
-KINDS = (
-    "cyclic",
-    "dihedral",
-    "quaternion",
-    "elemabelian",
-    "sym",
-    "alt",
-    "semidirect",
-    "product",
-    "perm",
-)
-
 
 def max_order() -> int:
     """Configured order cap (env KAPPA_MAX_ORDER, default 10000)."""
@@ -48,10 +37,9 @@ def max_order() -> int:
 class GroupSpec:
     """Constructor recipe for a catalog group.
 
-    params is kind-specific: (n,) for cyclic/dihedral/quaternion, (p, k) for
-    elemabelian, (m,) for sym/alt, (p, q) for semidirect, (degree,) for perm.
-    Direct products carry their two factor specs; permutation groups carry
-    0-based image tuples as generators.
+    params are the integers of a kind in KINDS, or perm's (degree,).
+    A product carries its two factor specs; a perm group carries 0-based
+    image tuples as generators.
     """
 
     kind: str
@@ -61,20 +49,14 @@ class GroupSpec:
 
     def render(self) -> str:
         """Canonical spec-grammar text; parse_group_spec inverts this."""
-        k, p = self.kind, self.params
-        if k in ("cyclic", "dihedral", "quaternion", "sym", "alt"):
-            return f"{k}:{p[0]}"
-        if k == "elemabelian":
-            return f"elemabelian:{p[0]}^{p[1]}"
-        if k == "semidirect":
-            return f"semidirect:{p[0]}:{p[1]}"
-        if k == "product":
+        row = _row(self)
+        if row is not None:
+            return f"{self.kind}:" + row.sep.join(map(str, self.params))
+        if self.kind == "product":
             a, b = self.factors
             return f"product:({a.render()})x({b.render()})"
-        if k == "perm":
-            gens = ";".join(_cycle_notation(g) for g in self.generators)
-            return f"perm:{p[0]}:{gens}"
-        raise InvalidSpec(f"unknown spec kind {k!r}")
+        gens = ";".join(_cycle_notation(g) for g in self.generators)
+        return f"perm:{self.params[0]}:{gens}"
 
 
 def _cycle_notation(perm: tuple[int, ...]) -> str:
@@ -153,13 +135,6 @@ class FiniteGroup:
     def multiply(self, a: int, b: int) -> int:
         return self._index[self._mul_raw(self._elements[a], self._elements[b])]
 
-    def inverse(self, a: int) -> int:
-        closure = sorted(self.cyclic_closure[a])
-        for b in closure:
-            if self.multiply(a, b) == 0:
-                return b
-        raise InvalidSpec(f"no inverse for element {a} of {self.name}")
-
     def element_repr(self, i: int) -> str:
         if self._reprs is not None:
             return self._reprs[i]
@@ -190,30 +165,11 @@ def _rot_repr(i: int, j: int) -> str:
     return "y" if i == 0 else f"{xs}y"
 
 
-def _dihedral(n: int) -> FiniteGroup:
-    """Order 2n, presented by rotations x (order n) and a reflection y."""
+def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> FiniteGroup:
+    """Order 2m: x of order m, y^2 = x^square and y x y^-1 = x^-1."""
     if n < 1:
-        raise InvalidSpec(f"dihedral parameter needs n >= 1, got {n}")
-    _check_cap(2 * n, f"D_{2 * n}")
-    elements = [(i, j) for j in (0, 1) for i in range(n)]
-
-    def mul(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        if j1 == 0:
-            return ((i1 + i2) % n, j2)
-        return ((i1 - i2) % n, 1 - j2)
-
-    reprs = [_rot_repr(i, j) for (i, j) in elements]
-    return FiniteGroup(f"D_{2 * n}", elements, mul, reprs)
-
-
-def _quaternion(n: int) -> FiniteGroup:
-    """Dicyclic group of order 4n: x of order 2n, y^2 = x^n, y x y^-1 = x^-1."""
-    if n < 1:
-        raise InvalidSpec(f"quaternion parameter needs n >= 1, got {n}")
-    _check_cap(4 * n, f"Q_{4 * n}")
-    m = 2 * n
+        raise InvalidSpec(f"{kind} parameter needs n >= 1, got {n}")
+    _check_cap(2 * m, name)
     elements = [(i, j) for j in (0, 1) for i in range(m)]
 
     def mul(e1, e2):
@@ -223,10 +179,20 @@ def _quaternion(n: int) -> FiniteGroup:
             return ((i1 + i2) % m, j2)
         if j2 == 0:
             return ((i1 - i2) % m, 1)
-        return ((i1 - i2 + n) % m, 0)
+        return ((i1 - i2 + square) % m, 0)
 
     reprs = [_rot_repr(i, j) for (i, j) in elements]
-    return FiniteGroup(f"Q_{4 * n}", elements, mul, reprs)
+    return FiniteGroup(name, elements, mul, reprs)
+
+
+def _dihedral(n: int) -> FiniteGroup:
+    """Order 2n, presented by rotations x (order n) and a reflection y."""
+    return _rotations_and_flip("dihedral", n, n, 0, f"D_{2 * n}")
+
+
+def _quaternion(n: int) -> FiniteGroup:
+    """Dicyclic group of order 4n: x of order 2n, y^2 = x^n, y x y^-1 = x^-1."""
+    return _rotations_and_flip("quaternion", n, 2 * n, n, f"Q_{4 * n}")
 
 
 def _elemabelian(p: int, k: int) -> FiniteGroup:
@@ -348,29 +314,46 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(f"{g.name}×{h.name}", elements, mul, reprs)
 
 
+class Kind(NamedTuple):
+    """How the spec grammar writes a kind with integer parameters, and its builder."""
+
+    params: tuple[str, ...]  # what a parse error calls each parameter
+    sep: str  # between two parameters
+    builder: Callable[..., FiniteGroup]
+
+
+# in the order parse errors list them; product and perm come after these
+KINDS = {
+    "cyclic": Kind(("parameter",), "", _cyclic),
+    "dihedral": Kind(("parameter",), "", _dihedral),
+    "quaternion": Kind(("parameter",), "", _quaternion),
+    "elemabelian": Kind(("prime base", "exponent"), "^", _elemabelian),
+    "sym": Kind(("parameter",), "", _symmetric),
+    "alt": Kind(("parameter",), "", _alternating),
+    "semidirect": Kind(("first prime", "second prime"), ":", _semidirect),
+}
+
+
+def _row(spec: GroupSpec) -> Kind | None:
+    """spec's row of KINDS, None for product and perm; checks the kind and arity."""
+    row = KINDS.get(spec.kind)
+    if row is None and spec.kind not in ("product", "perm"):
+        raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
+    arity = len(row.params) if row else int(spec.kind == "perm")
+    if len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product"):
+        raise InvalidSpec(f"malformed {spec.kind} spec {spec!r}")
+    return row
+
+
 def build(spec: GroupSpec) -> FiniteGroup:
     """Materialize a GroupSpec into a FiniteGroup."""
-    k = spec.kind
-    if k == "cyclic":
-        return _cyclic(spec.params[0])
-    if k == "dihedral":
-        return _dihedral(spec.params[0])
-    if k == "quaternion":
-        return _quaternion(spec.params[0])
-    if k == "elemabelian":
-        return _elemabelian(*spec.params)
-    if k == "sym":
-        return _symmetric(spec.params[0])
-    if k == "alt":
-        return _alternating(spec.params[0])
-    if k == "semidirect":
-        return _semidirect(*spec.params)
-    if k == "product":
+    row = _row(spec)
+    if row is not None:
+        return row.builder(*spec.params)
+    if spec.kind == "product":
         a, b = spec.factors
         return direct_product(build(a), build(b))
-    if k == "perm":
-        return _permutation(spec.params[0], spec.generators)
-    raise InvalidSpec(f"unknown spec kind {k!r}")
+    return _permutation(spec.params[0], spec.generators)
 
 
 def spectrum(g: FiniteGroup) -> tuple[set[int], set[int]]:

@@ -13,6 +13,8 @@ from __future__ import annotations
 from .errors import ParseError
 from .groups import KINDS, GroupSpec
 
+_EXPECTED_KIND = "one of " + ", ".join([*KINDS, "product", "perm"])
+
 
 class _Scanner:
     def __init__(self, text: str):
@@ -42,7 +44,7 @@ class _Scanner:
         while self.pos < len(self.text) and self.text[self.pos].isalpha():
             self.pos += 1
         if self.pos == start:
-            raise ParseError("missing group kind", start, "one of " + ", ".join(KINDS))
+            raise ParseError("missing group kind", start, _EXPECTED_KIND)
         return self.text[start : self.pos]
 
     def read_int(self, what: str) -> int:
@@ -96,25 +98,18 @@ def _cycles_to_perm(scanner: _Scanner, degree: int) -> tuple[int, ...]:
 
 def _parse_spec(scanner: _Scanner) -> GroupSpec:
     kind = scanner.read_ident()
-    if kind not in KINDS:
+    if kind not in KINDS and kind not in ("product", "perm"):
         raise ParseError(
-            f"unknown group kind {kind!r}",
-            scanner.pos - len(kind),
-            "one of " + ", ".join(KINDS),
+            f"unknown group kind {kind!r}", scanner.pos - len(kind), _EXPECTED_KIND
         )
     scanner.expect(":")
-    if kind in ("cyclic", "dihedral", "quaternion", "sym", "alt"):
-        return GroupSpec(kind, (scanner.read_int("parameter"),))
-    if kind == "elemabelian":
-        p = scanner.read_int("prime base")
-        scanner.expect("^")
-        k = scanner.read_int("exponent")
-        return GroupSpec(kind, (p, k))
-    if kind == "semidirect":
-        p = scanner.read_int("first prime")
-        scanner.expect(":")
-        q = scanner.read_int("second prime")
-        return GroupSpec(kind, (p, q))
+    row = KINDS.get(kind)
+    if row is not None:
+        params = [scanner.read_int(row.params[0])]
+        for name in row.params[1:]:
+            scanner.expect(row.sep)
+            params.append(scanner.read_int(name))
+        return GroupSpec(kind, tuple(params))
     if kind == "product":
         scanner.expect("(")
         left = _parse_spec(scanner)

@@ -10,7 +10,7 @@ import pytest
 from powertree import cli, closedform, errors, powergraph, treecount
 from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
-from powertree.groups import GroupSpec, build
+from powertree.groups import KINDS, GroupSpec, build
 from powertree.numutil import format_decimal, is_prime, parse_factored
 from powertree.specparse import parse_group_spec
 from powertree.treecount import quotient_kappa
@@ -38,6 +38,11 @@ def test_parse_render_round_trip(text):
     assert parse_group_spec(spec.render()) == spec
 
 
+def test_round_trip_specs_cover_every_kind():
+    kinds = {parse_group_spec(text).kind for text in ROUND_TRIP_SPECS}
+    assert kinds == {*KINDS, "product", "perm"}
+
+
 def test_parse_examples():
     assert parse_group_spec("cyclic:12") == GroupSpec("cyclic", (12,))
     spec = parse_group_spec("product:(cyclic:3)x(cyclic:2)")
@@ -55,7 +60,19 @@ def test_parse_whitespace_insensitive_cycles():
     assert a == b
 
 
-def test_parse_errors_carry_position():
+def test_parse_errors_carry_position(capsys):
+    for text, err in (
+        ("elemabelian:8", "input ended at position 13 (expected '^')"),
+        ("elemabelian:8^", "missing exponent at position 14 (expected an integer)"),
+        ("semidirect:7", "input ended at position 12 (expected ':')"),
+        ("semidirect:7:", "missing second prime at position 13 (expected an integer)"),
+        ("cyclic:", "missing parameter at position 7 (expected an integer)"),
+        ("foo:3", "unknown group kind 'foo' at position 0 (expected one of cyclic, "
+         "dihedral, quaternion, elemabelian, sym, alt, semidirect, product, perm)"),
+    ):
+        assert main(["kappa", text]) == 2
+        assert capsys.readouterr() == ("", f"error: {err}\n"), text
+
     with pytest.raises(ParseError) as info:
         parse_group_spec("foo:3")
     assert info.value.position == 0
@@ -624,3 +641,21 @@ def test_cmd_kappa_method_all_notes_a_missing_closed_form(capsys):
     captured = capsys.readouterr()
     assert captured.out == "quotient: 331776\nmatrix-tree: 331776\ndecomposition: 331776\n"
     assert captured.err == "note: closed-form left out: no closed form for sym:4\n"
+
+
+def test_each_command_builds_its_group_once(monkeypatch, capsys):
+    built = []
+
+    def counting_build(spec):
+        built.append(spec.render())
+        return build(spec)
+
+    monkeypatch.setattr(cli, "build", counting_build)
+    assert main(["kappa", "sym:4", "--method", "all"]) == 0
+    assert built == ["sym:4"]
+    built.clear()
+    assert main(["kappa", "cyclic:12", "--method", "closed-form"]) == 0
+    assert built == ["cyclic:12"]
+    built.clear()
+    assert main(["verify", "--max-n", "12"]) == 0
+    assert built == [f"cyclic:{n}" for n in range(1, 13)]

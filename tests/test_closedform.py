@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from powertree.closedform import (
+    closed_form,
     divisor_graph,
     divisor_profile,
     kappa_cyclic,
@@ -282,3 +283,37 @@ def test_counted_factors_and_exact_division():
 def test_divisibility_corollary():
     for n in range(3, 121):
         assert kappa_cyclic(n).value % n == 0, n
+
+
+CLOSED_FORM_SWEEP = [
+    *(f"cyclic:{n}" for n in range(1, 121)),
+    *(f"dihedral:{n}" for n in range(1, 61)),
+    *(f"quaternion:{n}" for n in range(1, 33)),
+    *(f"elemabelian:2^{k}" for k in range(1, 7)),
+    *(f"elemabelian:3^{k}" for k in range(1, 5)),
+    "elemabelian:5^2",
+    "semidirect:7:3",
+    "semidirect:13:3",
+    "semidirect:31:5",
+    "alt:4",
+    "alt:5",
+    "sym:3",
+    "sym:4",
+    "perm:6:(1 2 3);(4 5 6);(2 3)(5 6)",
+]
+
+
+@pytest.mark.parametrize("text", CLOSED_FORM_SWEEP)
+def test_closed_form_choice_matches_the_engine(text):
+    spec = parse_group_spec(text)
+    g = build(spec)
+    n = spec.params[0]
+    for reduced in (False, True) if g.order > 1 else (False,):
+        result = closed_form(spec, g, reduced)
+        if reduced:
+            expect_none = spec.kind not in ("cyclic", "quaternion")
+        else:
+            expect_none = text == "sym:4" or (spec.kind == "quaternion" and n & (n - 1) != 0)
+        assert (result is None) == expect_none, (text, reduced)
+        if result is not None:
+            assert result.value == quotient_kappa(g, reduced).value, (text, reduced)
