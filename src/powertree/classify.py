@@ -4,7 +4,7 @@ tree count alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .closedform import kappa_epo
 from .errors import OutOfRange
@@ -16,8 +16,7 @@ from .treecount import temperley_kappa
 A5_KAPPA = 3**10 * 5**18
 
 
-@dataclass(frozen=True)
-class ClassificationEntry:
+class ClassificationEntry(NamedTuple):
     """All groups whose power graph has exactly kappa_value spanning trees.
 
     groups/spec_strings/spectra run in parallel; symbolic_family is set

@@ -14,8 +14,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
 from functools import cache
+from typing import NamedTuple
 
 from . import classify as classify_mod
 from . import closedform, table1
@@ -28,8 +28,7 @@ from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
 from .treecount import block_decomposition_kappa, check_dense_dim, quotient_kappa
 
 
-@dataclass
-class OutputRecord:
+class OutputRecord(NamedTuple):
     """One computed tree count; it is rendered, and factored, only on output."""
 
     group: str

@@ -14,9 +14,8 @@ the pairs, so the count is factored from its bases when the output asks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
 from .errors import (
     DiscrepancyDetected,
@@ -36,8 +35,7 @@ from .treecount import TreeNumber, exact_integer_determinant
 EXPANSION_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class DivisorProfile:
+class DivisorProfile(NamedTuple):
     """Per-divisor data for the power graph of Z_n.
 
     divisors descend from n to 1. degrees[i] is the common degree of the
@@ -54,8 +52,7 @@ class DivisorProfile:
         return self.divisors[1:-1]
 
 
-@dataclass(frozen=True)
-class DivisorGraph:
+class DivisorGraph(NamedTuple):
     """Divisibility graph on the divisors of n, plus its middle complement."""
 
     n: int
@@ -155,6 +152,8 @@ def kappa_cyclic_expansion(n: int) -> TreeNumber:
         raise TooManyDivisors(
             f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
         )
+    from fractions import Fraction  # imported here: it pulls in decimal
+
     prof = divisor_profile(n)
     mids = prof.middle
     ratios = [

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import product as iproduct
 from math import factorial, gcd
 from typing import NamedTuple
@@ -33,8 +32,7 @@ def max_order() -> int:
         raise InvalidSpec(f"KAPPA_MAX_ORDER must be an integer, got {raw!r}") from None
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Constructor recipe for a catalog group.
 
     params are the integers of a kind in KINDS, or perm's (degree,).
@@ -335,12 +333,14 @@ KINDS = {
 
 
 def _row(spec: GroupSpec) -> Kind | None:
-    """spec's row of KINDS, None for product and perm; checks the kind and arity."""
+    """spec's row of KINDS, None for product and perm; checks kind, arity and types."""
     row = KINDS.get(spec.kind)
     if row is None and spec.kind not in ("product", "perm"):
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
     arity = len(row.params) if row else int(spec.kind == "perm")
-    if len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product"):
+    if (len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product")
+            or not all(type(p) is int for p in spec.params)  # a bool is not a parameter
+            or not all(isinstance(f, GroupSpec) for f in spec.factors)):
         raise InvalidSpec(f"malformed {spec.kind} spec {spec!r}")
     return row
 

@@ -12,6 +12,7 @@ import bisect
 import math
 import sys
 from functools import lru_cache
+from itertools import compress
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
 # psi_13 = 3317044064679887385961981, the smallest strong pseudoprime to all
@@ -52,14 +53,17 @@ def next_prime(n: int) -> int:
 
 
 def primes_upto(n: int) -> list[int]:
+    """Primes up to n, ascending, from a sieve over the odd numbers only."""
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(n + 1) if sieve[i]]
+    sieve = bytearray([1]) * ((n + 1) // 2)  # sieve[i] stands for 2i + 1
+    sieve[0] = 0
+    for i in range(1, (math.isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            start = p * p // 2  # the entry of p^2; each p-th one after it is an odd multiple
+            sieve[start::p] = bytes(len(range(start, len(sieve), p)))
+    return [2, *compress(range(1, n + 1, 2), sieve)]
 
 
 _TRIAL_PRIMES = primes_upto(100_000)

@@ -9,7 +9,7 @@ that identification by matching both of its columns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .groups import build
 from .specparse import parse_group_spec
@@ -18,8 +18,7 @@ from .powergraph import power_graph, reduced_power_graph
 from .treecount import temperley_kappa
 
 
-@dataclass(frozen=True)
-class GoldenRow:
+class GoldenRow(NamedTuple):
     order: int
     name: str
     spec: str
@@ -60,8 +59,7 @@ GOLDEN_ROWS: tuple[GoldenRow, ...] = (
 )
 
 
-@dataclass(frozen=True)
-class TableResult:
+class TableResult(NamedTuple):
     row: GoldenRow
     kappa_computed: int
     kappa_expected: int

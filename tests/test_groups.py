@@ -11,6 +11,7 @@ from powertree.groups import (
     spectrum,
 )
 from powertree.numutil import divisors, phi
+from powertree.specparse import parse_group_spec
 
 # Exercised (order <= 64) for the full associativity/identity/inverse sweep.
 AXIOM_SPECS = [
@@ -34,8 +35,6 @@ AXIOM_SPECS = [
 
 
 def _build(text):
-    from powertree.specparse import parse_group_spec
-
     return build(parse_group_spec(text))
 
 
@@ -307,6 +306,10 @@ def test_invalid_parameters():
         GroupSpec("product", factors=(GroupSpec("cyclic", (2,)),)),
         GroupSpec("perm"),
         GroupSpec("nosuch", (3,)),
+        GroupSpec("cyclic", ("3",)),
+        GroupSpec("cyclic", (3.5,)),
+        GroupSpec("cyclic", (True,)),
+        GroupSpec("product", factors=(GroupSpec("cyclic", (2,)), "x")),
     ],
 )
 def test_malformed_spec_is_typed_on_build_and_render(spec):
@@ -314,6 +317,34 @@ def test_malformed_spec_is_typed_on_build_and_render(spec):
         build(spec)
     with pytest.raises(InvalidSpec):
         spec.render()
+
+
+# Reprs as the records printed them when they were dataclasses; InvalidSpec
+# messages embed them, so they are pinned.
+SPEC_REPRS = {
+    "cyclic:12": "GroupSpec(kind='cyclic', params=(12,), factors=(), generators=())",
+    "product:(cyclic:3)x(dihedral:4)": (
+        "GroupSpec(kind='product', params=(), factors=("
+        "GroupSpec(kind='cyclic', params=(3,), factors=(), generators=()), "
+        "GroupSpec(kind='dihedral', params=(4,), factors=(), generators=())), generators=())"
+    ),
+    "perm:4:(1 2);(3 4)": (
+        "GroupSpec(kind='perm', params=(4,), factors=(), "
+        "generators=((1, 0, 2, 3), (0, 1, 3, 2)))"
+    ),
+}
+
+
+@pytest.mark.parametrize("text", sorted(SPEC_REPRS))
+def test_spec_repr_hash_and_immutability(text):
+    spec = parse_group_spec(text)
+    assert repr(spec) == SPEC_REPRS[text]
+    again = parse_group_spec(spec.render())
+    assert again == spec and hash(again) == hash(spec)
+    with pytest.raises(AttributeError):
+        spec.kind = "cyclic"
+    with pytest.raises(AttributeError):
+        spec.params = (5,)
 
 
 def test_build_m_is_dicyclic_of_order_12():

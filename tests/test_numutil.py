@@ -45,6 +45,17 @@ def test_primes_upto_and_next():
     assert next_prime(1) == 2
 
 
+def test_primes_upto_matches_trial_division():
+    # every n up to 3000: even and odd n, and n at and around prime squares
+    primes = []
+    for n in range(3001):
+        if n >= 2 and all(n % p for p in primes if p * p <= n):
+            primes.append(n)
+        assert primes_upto(n) == primes
+    assert len(numutil._TRIAL_PRIMES) == 9592
+    assert numutil._TRIAL_PRIMES[-1] == 99991
+
+
 @pytest.mark.parametrize("n", [1, 2, 12, 360, 25920, 2**10 * 3**4 * 131])
 def test_factorize_roundtrip(n):
     fac = factorize(n)
