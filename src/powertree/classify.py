@@ -4,9 +4,10 @@ tree count alone."""
 
 from __future__ import annotations
 
+from math import prod
 from typing import NamedTuple
 
-from .closedform import kappa_epo
+from .closedform import epo_powers, kappa_epo
 from .errors import OutOfRange
 from .groups import FiniteGroup, GroupSpec, build, count_cyclic_subgroups
 from .numutil import factorize, is_prime, next_prime, p_part, primes_upto
@@ -96,10 +97,7 @@ def sylow_lower_bound(g: FiniteGroup) -> int:
 
 def epo_check_and_bound(g: FiniteGroup) -> int:
     """prod p^((p-2) c_p) over primes; attained exactly on EPO groups."""
-    bound = 1
-    for p in sorted({o for o in g.element_order if is_prime(o)}):
-        bound *= p ** ((p - 2) * count_cyclic_subgroups(g, p))
-    return bound
+    return prod(p**e for p, e in epo_powers(g) if is_prime(p))
 
 
 def classify_kappa_below_125(target: int) -> ClassificationEntry | None:
@@ -118,9 +116,7 @@ def is_star_kappa_one(g: FiniteGroup) -> tuple[bool, bool, bool]:
     elementary_abelian_2 = all(o == 2 for o in g.element_order[1:])
     graph = power_graph(g)
     n = graph.vertex_count
-    star = graph.edge_count() == n - 1 and max(
-        graph.degree(v) for v in range(n)
-    ) == n - 1
+    star = graph.edge_count() == n - 1 and max(map(graph.degree, range(n))) == n - 1
     kappa_one = temperley_kappa(graph).value == 1
     return elementary_abelian_2, star, kappa_one
 

@@ -14,6 +14,7 @@ the pairs, so the count is factored from its bases when the output asks.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import prod
 from typing import NamedTuple
 
@@ -27,7 +28,7 @@ from .errors import (
     TooManyDivisors,
     TrivialGroup,
 )
-from .groups import FiniteGroup, GroupSpec, count_cyclic_subgroups
+from .groups import FiniteGroup, GroupSpec
 from .numutil import divisors, factorize, is_prime, phi  # bench/child.py wraps factorize
 from .powergraph import degree_in_cyclic
 from .treecount import TreeNumber, exact_integer_determinant
@@ -240,16 +241,20 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
     return TreeNumber.from_powers(f"Z_{p}^{k}", [(p, (p**k - 1) // (p - 1) * (p - 2))])
 
 
+def epo_powers(g: FiniteGroup) -> list[tuple[int, int]]:
+    """(m, (m - 2) c_m) for each order m > 1 of a cyclic subgroup, c_m of them,
+    in the order of g.cyclic_subgroups; on an EPO group every m is prime."""
+    counts = Counter(len(c) for c in g.cyclic_subgroups[1:])
+    return [(m, (m - 2) * c) for m, c in counts.items()]
+
+
 def kappa_epo(g: FiniteGroup) -> TreeNumber:
     """Tree count for a group whose non-identity elements all have prime order."""
-    for i in range(1, g.order):
-        if not is_prime(g.element_order[i]):
-            raise NotEPO(
-                f"{g.name} has an element of composite order {g.element_order[i]}"
-            )
-    return TreeNumber.from_powers(g.name, [
-        (p, (p - 2) * count_cyclic_subgroups(g, p)) for p in set(g.element_order[1:])
-    ])
+    powers = epo_powers(g)
+    for m, _ in powers:
+        if not is_prime(m):
+            raise NotEPO(f"{g.name} has an element of composite order {m}")
+    return TreeNumber.from_powers(g.name, powers)
 
 
 def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:

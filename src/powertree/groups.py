@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import os
 from collections.abc import Callable
+from functools import cache
 from itertools import product as iproduct
 from math import factorial, gcd
 from typing import NamedTuple
@@ -82,6 +83,7 @@ class FiniteGroup:
     identity's {0} first; cyclic_class[i] is the position in that list of
     <i>, and cyclic_closure[i] is that same frozenset object. Elements of one
     class are the phi(|C|) generators of C. element_order[i] is |<i>|.
+    element_repr(i) is element i's text, made by `label` only when asked.
     """
 
     __slots__ = (
@@ -94,15 +96,15 @@ class FiniteGroup:
         "_elements",
         "_index",
         "_mul_raw",
-        "_reprs",
+        "_label",
     )
 
-    def __init__(self, name, elements, mul, reprs=None):
+    def __init__(self, name, elements, mul, label):
         self.name = name
         self.order = len(elements)
         if self.order == 0:
             raise InvalidSpec("a group needs at least the identity element")
-        self._reprs = reprs
+        self._label = label
         self._elements = list(elements)
         self._index = {e: i for i, e in enumerate(elements)}
         self._mul_raw = mul
@@ -134,9 +136,7 @@ class FiniteGroup:
         return self._index[self._mul_raw(self._elements[a], self._elements[b])]
 
     def element_repr(self, i: int) -> str:
-        if self._reprs is not None:
-            return self._reprs[i]
-        return str(i)
+        return self._label(self._elements[i])
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -152,8 +152,8 @@ def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, f"Z_{n}")
-    reprs = ["1"] + [f"x^{i}" if i > 1 else "x" for i in range(1, n)]
-    return FiniteGroup(f"Z_{n}", list(range(n)), lambda a, b: (a + b) % n, reprs)
+    return FiniteGroup(f"Z_{n}", list(range(n)), lambda a, b: (a + b) % n,
+                       lambda i: _rot_repr(i, 0))
 
 
 def _rot_repr(i: int, j: int) -> str:
@@ -179,8 +179,7 @@ def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> Fi
             return ((i1 - i2) % m, 1)
         return ((i1 - i2 + square) % m, 0)
 
-    reprs = [_rot_repr(i, j) for (i, j) in elements]
-    return FiniteGroup(name, elements, mul, reprs)
+    return FiniteGroup(name, elements, mul, lambda e: _rot_repr(*e))
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -191,6 +190,10 @@ def _dihedral(n: int) -> FiniteGroup:
 def _quaternion(n: int) -> FiniteGroup:
     """Dicyclic group of order 4n: x of order 2n, y^2 = x^n, y x y^-1 = x^-1."""
     return _rotations_and_flip("quaternion", n, 2 * n, n, f"Q_{4 * n}")
+
+
+def _tuple_repr(e: tuple[int, ...]) -> str:
+    return "(" + ",".join(map(str, e)) + ")"
 
 
 def _elemabelian(p: int, k: int) -> FiniteGroup:
@@ -206,8 +209,7 @@ def _elemabelian(p: int, k: int) -> FiniteGroup:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     name = f"Z_{p}" if k == 1 else f"Z_{p}^{k}"
-    reprs = ["(" + ",".join(map(str, e)) + ")" for e in elements]
-    return FiniteGroup(name, elements, mul, reprs)
+    return FiniteGroup(name, elements, mul, _tuple_repr)
 
 
 def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
@@ -231,12 +233,9 @@ def _perm_closure(degree, generators, name):
                     elements.append(h)
                     nxt.append(h)
                     if len(elements) > cap:
-                        raise UnsupportedOrder(
-                            f"{name} exceeds the order cap {cap}"
-                        )
+                        raise UnsupportedOrder(f"{name} exceeds the order cap {cap}")
         frontier = nxt
-    reprs = [_cycle_notation(e) for e in elements]
-    return FiniteGroup(name, elements, _compose, reprs)
+    return FiniteGroup(name, elements, _compose, _cycle_notation)
 
 
 def _symmetric(m: int) -> FiniteGroup:
@@ -285,8 +284,7 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
         a2, b2 = e2
         return ((a1 + a2 * rpow[b1]) % p, (b1 + b2) % q)
 
-    reprs = [f"({a},{b})" for (a, b) in elements]
-    return FiniteGroup(f"Z_{p}⋊Z_{q}", elements, mul, reprs)
+    return FiniteGroup(f"Z_{p}⋊Z_{q}", elements, mul, _tuple_repr)
 
 
 def _permutation(degree: int, generators) -> FiniteGroup:
@@ -308,8 +306,8 @@ def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     def mul(e1, e2):
         return (g.multiply(e1[0], e2[0]), h.multiply(e1[1], e2[1]))
 
-    reprs = [f"({g.element_repr(a)},{h.element_repr(b)})" for (a, b) in elements]
-    return FiniteGroup(f"{g.name}×{h.name}", elements, mul, reprs)
+    left, right = cache(g.element_repr), cache(h.element_repr)  # each factor label once
+    return FiniteGroup(f"{g.name}×{h.name}", elements, mul, lambda e: f"({left(e[0])},{right(e[1])})")
 
 
 class Kind(NamedTuple):
@@ -334,13 +332,15 @@ KINDS = {
 
 def _row(spec: GroupSpec) -> Kind | None:
     """spec's row of KINDS, None for product and perm; checks kind, arity and types."""
-    row = KINDS.get(spec.kind)
+    row = KINDS.get(spec.kind) if type(spec.kind) is str else None
     if row is None and spec.kind not in ("product", "perm"):
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
     arity = len(row.params) if row else int(spec.kind == "perm")
-    if (len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product")
+    if (not all(type(c) is tuple for c in (spec.params, spec.factors, spec.generators))
+            or len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product")
             or not all(type(p) is int for p in spec.params)  # a bool is not a parameter
-            or not all(isinstance(f, GroupSpec) for f in spec.factors)):
+            or not all(isinstance(f, GroupSpec) for f in spec.factors)
+            or not all(type(g) is tuple and all(type(x) is int for x in g) for g in spec.generators)):
         raise InvalidSpec(f"malformed {spec.kind} spec {spec!r}")
     return row
 

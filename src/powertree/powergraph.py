@@ -23,15 +23,18 @@ RENDER_EDGE_LIMIT = 2_000_000
 
 
 class PowerGraph:
-    """Simple undirected graph on group elements with bitmask adjacency rows."""
+    """Simple undirected graph on group elements with bitmask adjacency rows.
 
-    __slots__ = ("vertex_count", "rows", "vertex_names", "name")
+    label(v) is vertex v's text, made only when the graph is rendered.
+    """
 
-    def __init__(self, name, rows, vertex_names):
+    __slots__ = ("vertex_count", "rows", "label", "name")
+
+    def __init__(self, name, rows, label):
         self.name = name
         self.vertex_count = len(rows)
         self.rows = rows
-        self.vertex_names = vertex_names
+        self.label = label
 
     def is_adjacent(self, u: int, v: int) -> bool:
         return bool(self.rows[u] >> v & 1)
@@ -68,7 +71,6 @@ def power_graph(g: FiniteGroup) -> PowerGraph:
     of its generators. A class reaches its own generators and those of every
     class comparable with it; every C contained in D is <x> for some x in D.
     """
-    n = g.order
     cls = g.cyclic_class
     generators = [0] * len(g.cyclic_subgroups)
     for i, c in enumerate(cls):
@@ -79,17 +81,15 @@ def power_graph(g: FiniteGroup) -> PowerGraph:
             reach[c] |= generators[d]
             reach[d] |= generators[c]
     rows = [reach[c] ^ 1 << i for i, c in enumerate(cls)]
-    names = [g.element_repr(i) for i in range(n)]
-    return PowerGraph(f"P({g.name})", rows, names)
+    return PowerGraph(f"P({g.name})", rows, g.element_repr)
 
 
 def reduced_power_graph(g: FiniteGroup) -> PowerGraph:
     """power_graph(g) with the identity vertex deleted; may be disconnected."""
     if g.order < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
-    full = power_graph(g)
-    rows = [full.rows[i] >> 1 for i in range(1, full.vertex_count)]
-    return PowerGraph(f"P({g.name}#)", rows, full.vertex_names[1:])
+    rows = [row >> 1 for row in power_graph(g).rows[1:]]
+    return PowerGraph(f"P({g.name}#)", rows, lambda v: g.element_repr(v + 1))
 
 
 def degree_in_cyclic(n: int, m: int) -> int:
@@ -168,14 +168,14 @@ def to_json(graph: PowerGraph) -> str:
     _check_render_cap(graph)
     edges = ", ".join(f"[{u}, " + f"], [{u}, ".join(map(str, later)) + "]"
                       for u, later in _later_neighbours(graph.rows) if later)
-    labels = json.dumps({str(v): name for v, name in enumerate(graph.vertex_names)},
+    labels = json.dumps({str(v): graph.label(v) for v in range(graph.vertex_count)},
                         ensure_ascii=False, separators=(", ", ": "))
     return f'{{"vertices": {graph.vertex_count}, "edges": [{edges}], "labels": {labels}}}'
 
 
 def to_dot(graph: PowerGraph) -> str:
     _check_render_cap(graph)
-    nodes = "".join(f'  {v} [label="{name}"];\n' for v, name in enumerate(graph.vertex_names))
+    nodes = "".join(f'  {v} [label="{graph.label(v)}"];\n' for v in range(graph.vertex_count))
     edges = "".join(f"  {u} -- " + f";\n  {u} -- ".join(map(str, later)) + ";\n"
                     for u, later in _later_neighbours(graph.rows) if later)
     return f'graph "{graph.name}" {{\n{nodes}{edges}}}\n'

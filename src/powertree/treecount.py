@@ -119,6 +119,20 @@ class TreeNumber:
         return f"TreeNumber({format_decimal(self.value)})"
 
 
+def _rows_connected(rows) -> bool:
+    """Whether the graph of the bit rows `rows` is connected; one OR per vertex."""
+    seen = frontier = 1 if rows else 0
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= reach
+    return seen.bit_count() == len(rows)
+
+
 class MultiGraph:
     """Undirected graph with edge multiplicities and no self-loops."""
 
@@ -156,25 +170,11 @@ class MultiGraph:
         return sum(m for (a, b), m in self._mult.items() if a == v or b == v)
 
     def is_connected(self) -> bool:
-        n = self.vertex_count
-        if n <= 1:
-            return True
-        adj = [[] for _ in range(n)]
+        rows = [0] * self.vertex_count
         for a, b in self._mult:
-            adj[a].append(b)
-            adj[b].append(a)
-        seen = bytearray(n)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if not seen[y]:
-                    seen[y] = 1
-                    count += 1
-                    stack.append(y)
-        return count == n
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+        return _rows_connected(rows)
 
     def without_edge(self, u: int, v: int) -> "MultiGraph":
         """Copy with the (u,v) edge removed at all multiplicities."""
@@ -205,10 +205,7 @@ def as_multigraph(graph) -> MultiGraph:
     """The one conversion of a PowerGraph, all multiplicities 1, for the graph routes."""
     if isinstance(graph, MultiGraph):
         return graph
-    g = MultiGraph(graph.vertex_count)
-    for u, v in graph.edges():
-        g.add_edge(u, v)
-    return g
+    return MultiGraph(graph.vertex_count, graph.edges())
 
 
 def exact_integer_determinant(matrix) -> int:
@@ -280,8 +277,6 @@ def temperley_kappa(graph) -> TreeNumber:
         raise DiscrepancyDetected(
             f"det(J+Q) of {det.bit_length()} bits not divisible by {n}^2"
         )
-    if q < 0:
-        raise DiscrepancyDetected("negative tree count from determinant")
     return TreeNumber(q)
 
 
@@ -584,31 +579,33 @@ def _biconnected_blocks(g: MultiGraph) -> list[list[tuple[int, int, int]]]:
     return blocks
 
 
-def block_decomposition_kappa(graph, inner=None) -> TreeNumber:
+def block_decomposition_kappa(graph) -> TreeNumber:
     """Tree count as a product over biconnected blocks.
 
-    Deleting a cut vertex splits the count multiplicatively; iterating that
-    over the whole block tree lets `inner` (default the determinant route)
-    handle each block in isolation. A cut edge of multiplicity m is a K_2
-    block contributing m. A disconnected graph counts 0, as on every route.
-    On the default route every block is checked against the dense cap before
-    the first determinant.
+    Deleting a cut vertex splits the count multiplicatively, so each block is
+    counted by the determinant route in isolation. A cut edge of multiplicity
+    m is a K_2 block contributing m. A disconnected graph counts 0, as on
+    every route. Before its blocks are found, a graph is refused when it has
+    more distinct edges than DENSE_MAX_DIM (n-1)/2, since blocks of b <= cap
+    vertices hold b(b-1)/2 <= cap (b-1)/2 and b - 1 sums to n - 1; a power
+    graph is checked on its bit rows. Then every block is checked.
     """
-    g = as_multigraph(graph)
-    if not g.is_connected():
+    if isinstance(graph, MultiGraph):
+        connected, distinct = graph.is_connected(), len(graph._mult)
+    else:
+        connected, distinct = _rows_connected(graph.rows), graph.edge_count()
+    if not connected:
         return TreeNumber(0)
-    subs = []
-    for block in _biconnected_blocks(g):
-        verts = sorted({x for u, v, _ in block for x in (u, v)})
-        pos = {x: i for i, x in enumerate(verts)}
-        sub = MultiGraph(len(verts))
-        for u, v, m in block:
-            sub.add_edge(pos[u], pos[v], m)
-        subs.append(sub)
-    if inner is None:
-        inner = temperley_kappa
-        check_dense_dim(max((sub.vertex_count for sub in subs), default=0), "decomposition block")
+    n = graph.vertex_count
+    if 2 * distinct > DENSE_MAX_DIM * (n - 1):
+        raise TooLarge(f"decomposition block capped at dimension {DENSE_MAX_DIM};"
+                       f" {distinct} edges on {n} vertices need a larger block")
+    blocks = _biconnected_blocks(as_multigraph(graph))
+    verts = [sorted({x for u, v, _ in block for x in (u, v)}) for block in blocks]
+    check_dense_dim(max(map(len, verts), default=0), "decomposition block")
     result = TreeNumber(1)
-    for sub in subs:
-        result = result * inner(sub)
+    for block, vs in zip(blocks, verts):
+        pos = {x: i for i, x in enumerate(vs)}
+        sub = MultiGraph(len(vs), [(pos[u], pos[v], m) for u, v, m in block])
+        result = result * temperley_kappa(sub)
     return result

@@ -631,6 +631,17 @@ def test_cmd_kappa_method_all_leaves_out_dense_routes_above_the_cap(capsys):
     assert "note: decomposition left out" in captured.err
 
 
+def test_cmd_kappa_method_all_refuses_decomposition_before_converting(capsys):
+    # cyclic:2000 has more edges than blocks under the cap can hold
+    start = time.perf_counter()
+    assert main(["kappa", "cyclic:2000", "--method", "all"]) == 0
+    assert time.perf_counter() - start < 5
+    captured = capsys.readouterr()
+    value = format_decimal(closedform.kappa_cyclic(2000).value)
+    assert captured.out == f"quotient: {value}\nclosed-form: {value}\n"
+    assert "note: decomposition left out: decomposition block capped at dimension 360;" in captured.err
+
+
 @pytest.mark.parametrize("spec, fmt", [("cyclic:5040", "json"), ("cyclic:10000", "dot")])
 def test_cmd_graph_checks_the_edge_cap_first(spec, fmt, capsys):
     start = time.perf_counter()

@@ -310,6 +310,12 @@ def test_invalid_parameters():
         GroupSpec("cyclic", (3.5,)),
         GroupSpec("cyclic", (True,)),
         GroupSpec("product", factors=(GroupSpec("cyclic", (2,)), "x")),
+        GroupSpec("cyclic", 3),
+        GroupSpec("perm", (3,), generators=((0, 1, "2"),)),
+        GroupSpec("perm", (3,), generators=(5,)),
+        GroupSpec(["cyclic"], (3,)),
+        GroupSpec("product", factors=5),
+        GroupSpec("perm", (3,), generators=5),
     ],
 )
 def test_malformed_spec_is_typed_on_build_and_render(spec):

@@ -7,7 +7,7 @@ import pytest
 from powertree import powergraph
 from powertree.cli import main
 from powertree.errors import OutOfRange, TooLarge, TrivialGroup
-from powertree.groups import build, count_cyclic_subgroups
+from powertree.groups import FiniteGroup, build, count_cyclic_subgroups
 from powertree.numutil import factorize
 from powertree.powergraph import (
     clique_number,
@@ -19,6 +19,7 @@ from powertree.powergraph import (
     to_json,
 )
 from powertree.specparse import parse_group_spec
+from powertree.treecount import quotient_kappa, temperley_kappa
 
 
 def _graph(text, reduced=False):
@@ -263,7 +264,7 @@ def _per_edge_json(graph):
     payload = {
         "vertices": graph.vertex_count,
         "edges": [[u, v] for u, v in _bitwise_edges(graph)],
-        "labels": {str(v): graph.vertex_names[v] for v in range(graph.vertex_count)},
+        "labels": {str(v): graph.label(v) for v in range(graph.vertex_count)},
     }
     return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
 
@@ -272,7 +273,7 @@ def _per_edge_dot(graph):
     """Reference DOT emitter: one line per vertex, then one line per edge."""
     lines = [f'graph "{graph.name}" {{']
     for v in range(graph.vertex_count):
-        lines.append(f'  {v} [label="{graph.vertex_names[v]}"];')
+        lines.append(f'  {v} [label="{graph.label(v)}"];')
     for u, v in _bitwise_edges(graph):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -321,6 +322,51 @@ GOLDEN_GRAPH_SHA1 = [
     (("cyclic:60", "json", True), "4c306819e81aea478081750d43dc6463c2b04423"),
     (("cyclic:60", "dot", False), "d9b922b07dfaf1b8994909e2cd49932340eedf4b"),
     (("cyclic:60", "dot", True), "d6f495972ea3e7469015ff881b49353fcf79e440"),
+    # the other kinds' labels, recorded before labels were made at print time
+    (("elemabelian:2^3", "json", False), "03b083c28d8cd011451c1734e151c55235c09a68"),
+    (("elemabelian:2^3", "json", True), "34cf626c6c09a8a0b1e02ee391a920fa0d45783a"),
+    (("elemabelian:2^3", "dot", False), "a0dc68dace8c11448f3f1c1f1209fb92905b540e"),
+    (("elemabelian:2^3", "dot", True), "407e6c0a93336b13aed9ed218bf48bc8f8b39200"),
+    (("alt:5", "json", False), "8a6aa69cfbd8cde255044d1f8a6003926ce63bcd"),
+    (("alt:5", "json", True), "18ed6904e26ad20e8e920e93e09f50e62ba2ac62"),
+    (("alt:5", "dot", False), "ff599c4f4c39f2e038a7c741cd0525e58ea8caa5"),
+    (("alt:5", "dot", True), "4a365dc133bb2a2046c0bcdd0413f0068e831f87"),
+    (("semidirect:7:3", "json", False), "d46fce8ca0d4a9e4c0775faaf970d6005e06d2a1"),
+    (("semidirect:7:3", "json", True), "4a6bb0692482dc1ce824651fe4ffcfabf41e3028"),
+    (("semidirect:7:3", "dot", False), "121f0143e56c0d49fdfa5543cfd05e5d6446bd31"),
+    (("semidirect:7:3", "dot", True), "94a748eed04cc6ec1045c0b7894d23c9ef39f822"),
+    (("product:(cyclic:3)x(cyclic:2)", "json", False), "dae68c37b0c5ba6e747cbfeef3a910e7c542a225"),
+    (("product:(cyclic:3)x(cyclic:2)", "json", True), "b6b4af5af79335e3264607c08509c76a796b67d5"),
+    (("product:(cyclic:3)x(cyclic:2)", "dot", False), "34d6adad4c125d03957415153eb96c0186df30e9"),
+    (("product:(cyclic:3)x(cyclic:2)", "dot", True), "352b9cb7398799ab46e51dd8a833ea6bdd089e0b"),
+    (("product:(cyclic:2)x(product:(cyclic:2)x(cyclic:2))", "json", False),
+     "40e3948b0ae2355eaf4a592a6f66f674e024cdde"),
+    (("product:(cyclic:2)x(product:(cyclic:2)x(cyclic:2))", "json", True),
+     "3fa2aec9439bf10f9d2e159d7a8009110233fac6"),
+    (("product:(cyclic:2)x(product:(cyclic:2)x(cyclic:2))", "dot", False),
+     "51fcdf9d605ebd60d027f0989188b4768ec08bda"),
+    (("product:(cyclic:2)x(product:(cyclic:2)x(cyclic:2))", "dot", True),
+     "bba9c2dcfb9b7dfdbdcc5d67de0a468f82a6e897"),
+    (("product:(product:(cyclic:2)x(cyclic:3))x(dihedral:4)", "json", False),
+     "f80061dedd5aad0504dd4f12720f5f5ebfd997c8"),
+    (("product:(product:(cyclic:2)x(cyclic:3))x(dihedral:4)", "json", True),
+     "d43bffb0c59f1fb51aef891ecdac76383749d5ee"),
+    (("product:(product:(cyclic:2)x(cyclic:3))x(dihedral:4)", "dot", False),
+     "3e154341df8d33a352c327b5be1405a44b9e33ba"),
+    (("product:(product:(cyclic:2)x(cyclic:3))x(dihedral:4)", "dot", True),
+     "3f1d6b857f849771bc3bac6e2956cd1e177503ea"),
+    (("perm:5:(1 2 3 4 5);(1 2 3)", "json", False), "bcb2bcfea9c5642de6159a55aaa0e4e21daf50bb"),
+    (("perm:5:(1 2 3 4 5);(1 2 3)", "json", True), "d817f690c21318747efed132f7ea3a05af1c1487"),
+    (("perm:5:(1 2 3 4 5);(1 2 3)", "dot", False), "6ad28dffae139ccc918698aac0d89b3a985c6929"),
+    (("perm:5:(1 2 3 4 5);(1 2 3)", "dot", True), "b183bf493e7891daa13f4b21e031efa77d39353c"),
+    (("perm:6:(1 2 3);(4 5 6);(2 3)(5 6)", "json", False), "44aa50ec2cc17b0242ac7b96c8fe8a636e99a6fc"),
+    (("perm:6:(1 2 3);(4 5 6);(2 3)(5 6)", "json", True), "7b9407b47237e6fce014246b70f2eecabc9da7e8"),
+    (("perm:6:(1 2 3);(4 5 6);(2 3)(5 6)", "dot", False), "603d7af65b854d4d401a18253b3e24626b4ae3f5"),
+    (("perm:6:(1 2 3);(4 5 6);(2 3)(5 6)", "dot", True), "885b746b5581f9ea3acc2dd06062642573542a17"),
+    (("perm:4:(1 2)(3 4)", "json", False), "f2477a33f36ab961393346cfcac0758a31393817"),
+    (("perm:4:(1 2)(3 4)", "json", True), "2eeb56af69832a7f49a079302961d54f551a1088"),
+    (("perm:4:(1 2)(3 4)", "dot", False), "58b124656fa838fdb25c40af5c7f205b987ebf73"),
+    (("perm:4:(1 2)(3 4)", "dot", True), "2f8b0ad5ea492db2ff4778539a02e85973bb357d"),
 ]
 
 
@@ -339,3 +385,36 @@ def test_emitters_check_the_edge_cap(monkeypatch):
     for emit in (to_json, to_dot):
         with pytest.raises(TooLarge, match="capped at 5 edges"):
             emit(graph)
+
+
+# one spec per kind, products nested both ways, perm groups by generators
+LABEL_SPECS = [
+    "cyclic:12", "dihedral:3", "quaternion:2", "elemabelian:2^3", "sym:4", "alt:5",
+    "semidirect:7:3", "product:(cyclic:2)x(product:(cyclic:2)x(cyclic:2))",
+    "product:(product:(cyclic:2)x(cyclic:3))x(dihedral:4)", "perm:6:(1 2 3);(4 5 6);(2 3)(5 6)",
+]
+
+
+@pytest.mark.parametrize("text", LABEL_SPECS)
+def test_labels_are_made_only_when_printed(text, monkeypatch):
+    made = Counter()  # label calls per group name
+    init = FiniteGroup.__init__
+
+    def counting_init(self, name, elements, mul, label):
+        def counted(e):
+            made[name] += 1
+            return label(e)
+
+        init(self, name, elements, mul, counted)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
+    g = build(parse_group_spec(text))
+    graph = power_graph(g)
+    temperley_kappa(graph)
+    quotient_kappa(g)
+    reduced = reduced_power_graph(g)
+    assert not made
+    to_json(graph)
+    assert made[g.name] == g.order
+    to_dot(reduced)
+    assert made[g.name] == 2 * g.order - 1

@@ -4,6 +4,7 @@ from math import prod
 
 import pytest
 
+from powertree import treecount
 from powertree.errors import DiscrepancyDetected, TooLarge, TrivialGroup
 from powertree.groups import GroupSpec, build
 from powertree.numutil import format_decimal
@@ -224,10 +225,52 @@ def test_block_decomposition_carries_multiplicities():
     assert block_decomposition_kappa(g).value == 3 * 2**62 == temperley_kappa(g).value
 
 
-def test_block_decomposition_with_deletion_contraction_inner():
+def test_block_decomposition_matches_deletion_contraction():
     graph = _graph("dihedral:6")
-    value = block_decomposition_kappa(graph, inner=deletion_contraction_kappa)
-    assert value.value == temperley_kappa(graph).value == 540
+    assert graph.vertex_count == 12
+    value = block_decomposition_kappa(graph)
+    assert value.value == deletion_contraction_kappa(graph).value == 540
+
+
+def _no_conversion(graph):
+    raise AssertionError("the graph was converted before the pre-check")
+
+
+def test_block_decomposition_refuses_from_the_bit_rows(monkeypatch):
+    # a block of b <= 360 vertices holds at most 180 (b - 1) edges, and the
+    # b - 1 sum to n - 1, so 1 777 660 edges on 2000 vertices need a larger block
+    graph = _graph("cyclic:2000")
+    monkeypatch.setattr(treecount, "as_multigraph", _no_conversion)
+    with pytest.raises(TooLarge, match="capped at dimension 360; 1777660 edges on 2000"):
+        block_decomposition_kappa(graph)
+
+
+def test_block_decomposition_counts_disconnected_rows_as_zero(monkeypatch):
+    # 443 817 edges, over the bound, but disconnected: 0 before any cap
+    graph = _graph("dihedral:1000", reduced=True)
+    monkeypatch.setattr(treecount, "as_multigraph", _no_conversion)
+    assert block_decomposition_kappa(graph).value == 0
+
+
+def test_block_decomposition_under_the_edge_bound_finds_its_blocks():
+    # cyclic:400 has 70 960 edges, under 180 * 399; its one block has 400 vertices
+    with pytest.raises(TooLarge, match="capped at dimension 360, got 400"):
+        block_decomposition_kappa(_graph("cyclic:400"))
+
+
+def test_block_decomposition_under_the_edge_bound_counts_every_block(monkeypatch):
+    graph = _graph("sym:6")
+    assert 2 * graph.edge_count() <= 360 * (graph.vertex_count - 1)
+    blocks = []
+
+    def recording_kappa(sub):
+        blocks.append(sub.vertex_count)
+        return TreeNumber(1)
+
+    monkeypatch.setattr(treecount, "temperley_kappa", recording_kappa)
+    assert block_decomposition_kappa(graph) == 1
+    assert max(blocks) <= 360
+    assert sum(b - 1 for b in blocks) == graph.vertex_count - 1
 
 
 def test_cut_edge_contraction_preserves_kappa():
