@@ -338,6 +338,7 @@ def _row(spec: GroupSpec) -> Kind | None:
     arity = len(row.params) if row else int(spec.kind == "perm")
     if (not all(type(c) is tuple for c in (spec.params, spec.factors, spec.generators))
             or len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product")
+            or bool(spec.generators) != (spec.kind == "perm")  # else no text parses back to it
             or not all(type(p) is int for p in spec.params)  # a bool is not a parameter
             or not all(isinstance(f, GroupSpec) for f in spec.factors)
             or not all(type(g) is tuple and all(type(x) is int for x in g) for g in spec.generators)):

@@ -14,6 +14,7 @@ from powertree.groups import KINDS, GroupSpec, build
 from powertree.numutil import format_decimal, is_prime, parse_factored
 from powertree.specparse import parse_group_spec
 from powertree.treecount import quotient_kappa
+from test_powergraph import LABEL_SPECS, ORACLE_SPECS
 
 ROUND_TRIP_SPECS = [
     "cyclic:12",
@@ -32,7 +33,7 @@ ROUND_TRIP_SPECS = [
 ]
 
 
-@pytest.mark.parametrize("text", ROUND_TRIP_SPECS)
+@pytest.mark.parametrize("text", list(dict.fromkeys(ROUND_TRIP_SPECS + LABEL_SPECS + ORACLE_SPECS)))
 def test_parse_render_round_trip(text):
     spec = parse_group_spec(text)
     assert parse_group_spec(spec.render()) == spec

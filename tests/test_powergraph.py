@@ -65,9 +65,10 @@ def test_power_graph_rows_match_pairwise_rule(text):
         assert reduced_power_graph(g).rows == _pairwise_rows(g, reduced=True)
 
 
-@pytest.mark.parametrize(
-    "text", ["cyclic:12", "cyclic:60", "dihedral:30", "quaternion:15", "sym:5"]
-)
+@pytest.mark.parametrize("text", list(dict.fromkeys(
+    ["cyclic:12", "cyclic:60", "dihedral:30", "quaternion:15", "sym:5", "elemabelian:2^3"]
+    + [text for text in ORACLE_SPECS if text != "cyclic:1"]  # Z_1 has no reduced graph
+)))
 def test_edges_match_bitwise_pairs(text):
     for graph in (_graph(text), _graph(text, reduced=True)):
         assert list(graph.edges()) == _bitwise_edges(graph)
@@ -367,6 +368,18 @@ GOLDEN_GRAPH_SHA1 = [
     (("perm:4:(1 2)(3 4)", "json", True), "2eeb56af69832a7f49a079302961d54f551a1088"),
     (("perm:4:(1 2)(3 4)", "dot", False), "58b124656fa838fdb25c40af5c7f205b987ebf73"),
     (("perm:4:(1 2)(3 4)", "dot", True), "2f8b0ad5ea492db2ff4778539a02e85973bb357d"),
+    # the graph-export benchmark's outputs, recorded at commit 61b9eb0, before
+    # the edge walk read the cyclic-subgroup poset
+    (("sym:6", "json", False), "e4bc826167c6e77c0142298724e09e75c5d15569"),
+    (("dihedral:500", "json", False), "e8b81dc45f6d2ade5ae4b55bb17169f4766d5c31"),
+    (("quaternion:250", "json", False), "8323a972b8f0dd7148f990c8c71461a4201ee07c"),
+    (("product:(sym:5)x(cyclic:12)", "json", False), "4478da43f5bd47a22c0e0fd726f8028aaca599d0"),
+    (("alt:7", "json", False), "a966279aebeeb7324782e0d6b32a7ddf3d113b8c"),
+    (("elemabelian:3^7", "json", False), "c1a7bf09a1b4e2d8b7f9d1fe6dc0fa9f0b9a762d"),
+    (("sym:7", "json", False), "6bbd42f9979442e7d2feb2873d03631cbd0af4e6"),
+    (("sym:6", "dot", False), "879fa66c600d08c55b419d824b332df0ee9471c8"),
+    (("dihedral:500", "dot", False), "8204bef78e2cb66006ceba4b573055bcd1b25ffd"),
+    (("sym:7", "json", True), "9cb2232b79928ebd6772f6b2ad66c9eeaf374726"),
 ]
 
 
