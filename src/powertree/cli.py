@@ -220,8 +220,11 @@ def cmd_classify(args) -> int:
 def cmd_graph(args) -> int:
     g = build(parse_group_spec(args.spec))
     graph = reduced_power_graph(g) if args.reduced else power_graph(g)
-    text = to_dot(graph) if args.format == "dot" else to_json(graph) + "\n"
-    sys.stdout.write(text)
+    if args.format == "dot":
+        to_dot(graph, sys.stdout)
+    else:
+        to_json(graph, sys.stdout)
+        sys.stdout.write("\n")
     return 0
 
 

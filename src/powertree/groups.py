@@ -290,9 +290,6 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
 def _permutation(degree: int, generators) -> FiniteGroup:
     if degree < 1:
         raise InvalidSpec(f"permutation degree must be >= 1, got {degree}")
-    for g in generators:
-        if sorted(g) != list(range(degree)):
-            raise InvalidSpec(f"{g} is not a permutation of degree {degree}")
     gen_str = ";".join(_cycle_notation(tuple(g)) for g in generators)
     return _perm_closure(degree, [tuple(g) for g in generators], f"⟨{gen_str}⟩")
 
@@ -331,7 +328,8 @@ KINDS = {
 
 
 def _row(spec: GroupSpec) -> Kind | None:
-    """spec's row of KINDS, None for product and perm; checks kind, arity and types."""
+    """spec's row of KINDS, None for product and perm; checks kind, arity and
+    types, and that each perm generator is a permutation of range(degree)."""
     row = KINDS.get(spec.kind) if type(spec.kind) is str else None
     if row is None and spec.kind not in ("product", "perm"):
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
@@ -343,6 +341,9 @@ def _row(spec: GroupSpec) -> Kind | None:
             or not all(isinstance(f, GroupSpec) for f in spec.factors)
             or not all(type(g) is tuple and all(type(x) is int for x in g) for g in spec.generators)):
         raise InvalidSpec(f"malformed {spec.kind} spec {spec!r}")
+    for g in spec.generators:  # else a short one renders as a longer one
+        if sorted(g) != list(range(spec.params[0])):
+            raise InvalidSpec(f"{g} is not a permutation of degree {spec.params[0]}")
     return row
 
 

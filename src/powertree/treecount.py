@@ -588,7 +588,8 @@ def block_decomposition_kappa(graph) -> TreeNumber:
     every route. Before its blocks are found, a graph is refused when it has
     more distinct edges than DENSE_MAX_DIM (n-1)/2, since blocks of b <= cap
     vertices hold b(b-1)/2 <= cap (b-1)/2 and b - 1 sums to n - 1; a power
-    graph is checked on its bit rows. Then every block is checked.
+    graph's connectivity is read from its bit rows, its edge count from its
+    subgroup poset. Then every block is checked.
     """
     if isinstance(graph, MultiGraph):
         connected, distinct = graph.is_connected(), len(graph._mult)

@@ -262,6 +262,41 @@ def test_cmd_kappa_default_route_near_the_order_cap(capsys):
         assert capsys.readouterr().out.strip().isdigit()
 
 
+@pytest.mark.parametrize("reduced", [False, True])
+def test_cmd_kappa_default_route_above_the_dense_cap_is_checked(reduced, capsys):
+    # Z_9 x Z_1000 is Z_9000, as gcd(9, 1000) = 1: the product's quotient count
+    # meets the cyclic closed form on 9 000 vertices
+    assert main(["kappa", "product:(cyclic:9)x(cyclic:1000)"] + ["--reduced"] * reduced) == 0
+    assert capsys.readouterr().out == format_decimal(closedform.kappa_cyclic(9000, reduced).value) + "\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+def test_cmd_graph_writes_cyclic_2000_in_bounded_memory(tmp_path):
+    # 1 777 660 edges, about 25 MB of JSON; the text held whole peaked near 83 MB.
+    # The child reads its peak RSS as VmHWM: ru_maxrss of a child started by
+    # vfork and exec also holds the peak of the test process that started it.
+    code = (
+        "import re, sys\n"
+        "from powertree.cli import main\n"
+        "code = main(['graph', 'cyclic:2000', '--format', 'json'])\n"
+        "peak = re.search(r'VmHWM:\\s*(\\d+) kB', open('/proc/self/status').read())[1]\n"
+        "print(code, peak, file=sys.stderr)"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    path = tmp_path / "cyclic2000.json"
+    with open(path, "w", encoding="utf-8") as out:
+        err = subprocess.run([sys.executable, "-c", code], stdout=out, stderr=subprocess.PIPE,
+                             text=True, env={**os.environ, "PYTHONPATH": src}, check=True).stderr
+    code, peak_kib = map(int, err.split())
+    assert code == 0
+    assert peak_kib < 40 * 1024
+    with open(path, "rb") as fh:
+        head = b'{"vertices": 2000, "edges": [[0, 1], [0, 2]'
+        assert fh.read(len(head)) == head
+        fh.seek(-2, os.SEEK_END)
+        assert fh.read() == b"}\n"
+
+
 def test_cmd_kappa_beyond_int_str_digit_limit(capsys):
     # kappa(Z_1500) has more decimal digits than str() renders by default
     assert main(["kappa", "cyclic:1500", "--format", "json"]) == 0

@@ -318,6 +318,7 @@ def test_invalid_parameters():
         GroupSpec("perm", (3,), generators=5),
         GroupSpec("cyclic", (3,), generators=((0,),)),  # would render as cyclic:3
         GroupSpec("perm", (3,)),  # would render as perm:3:, which does not parse
+        GroupSpec("perm", (3,), generators=((1, 0),)),  # would render as perm:3:(1 2)
     ],
 )
 def test_malformed_spec_is_typed_on_build_and_render(spec):

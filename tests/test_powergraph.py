@@ -1,4 +1,5 @@
 import hashlib
+import io
 import json
 from collections import Counter
 
@@ -431,3 +432,39 @@ def test_labels_are_made_only_when_printed(text, monkeypatch):
     assert made[g.name] == g.order
     to_dot(reduced)
     assert made[g.name] == 2 * g.order - 1
+
+
+def _refuse(*args):
+    raise AssertionError("this route should not build it")
+
+
+@pytest.mark.parametrize("text", LABEL_SPECS)
+def test_edge_count_from_the_poset_matches_the_rows(text, monkeypatch):
+    graphs = [_graph(text), _graph(text, reduced=True)]
+    with monkeypatch.context() as patched:
+        patched.setattr(powergraph, "_rows", _refuse)
+        patched.setattr(powergraph, "_closed_neighbourhoods", _refuse)
+        counts = [graph.edge_count() for graph in graphs]
+    assert counts == [sum(map(int.bit_count, graph.rows)) // 2 for graph in graphs]
+
+
+@pytest.mark.parametrize("text", LABEL_SPECS)
+def test_emitters_write_to_a_stream_what_they_return(text):
+    for graph in (_graph(text), _graph(text, reduced=True)):
+        for emit in (to_json, to_dot):
+            out = io.StringIO()
+            assert emit(graph, out) is None
+            assert out.getvalue() == emit(graph)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot"])
+def test_cmd_graph_builds_no_bit_rows(fmt, monkeypatch, capsys):
+    monkeypatch.setattr(powergraph, "_rows", _refuse)
+    assert main(["graph", "sym:4", "--format", fmt]) == 0
+    text = capsys.readouterr().out
+    graph = _graph("sym:4")
+    assert text == (to_dot(graph) if fmt == "dot" else to_json(graph) + "\n")
+    assert main(["graph", "dihedral:5000", "--format", fmt]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "P(D_10000) has 11135316" in captured.err
