@@ -4,13 +4,21 @@ Factorization divides out the primes below 100000 and splits what is left by
 Lenstra's elliptic-curve method (ECM) on Montgomery curves. One call of
 `try_factorize` gets ECM_CURVES curves in all, shared by every cofactor it
 splits off. The budget counts curves, not time, so a result depends only on n.
+
+A cofactor's first curve runs here; if it fails, the next curves run side by
+side, one per usable core, in forked helpers. The curves spent and the factor
+found are those of running one curve after another, whatever the core count.
+What every curve repeats, the stage-1 prime powers and the stage-2 pairs of
+primes m*D +- j, is a plan built on the first curve.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
+import os
 import sys
+from collections import deque
 from functools import lru_cache
 from itertools import compress
 
@@ -81,6 +89,31 @@ _ECM_D = 210  # stage-2 giant step; 2*3*5*7, so every prime above B1 is m*D +- j
 ECM_CURVES = 80
 
 
+@lru_cache(maxsize=None)
+def _ecm_plan() -> tuple[tuple[str, ...], tuple[bytes, ...]]:
+    """What every curve repeats, built on the first curve: (stage 1, stage 2).
+
+    Stage 1 is bin(p^e)[3:] for each prime power p^e <= B1. Stage 2 holds,
+    per giant step m = B1 // D, B1 // D + 1, ..., the j with m*D - j or
+    m*D + j a prime in (B1, B2].
+    """
+    split = bisect.bisect_right(_TRIAL_PRIMES, _ECM_B1)
+    stage1 = []
+    for p in _TRIAL_PRIMES[:split]:
+        pe = p
+        while pe * p <= _ECM_B1:
+            pe *= p
+        stage1.append(bin(pe)[3:])
+    # a prime r goes to the giant step m with |r - m*D| < D/2; when both
+    # m*D - j and m*D + j are prime, one factor of the product serves both
+    first = _ECM_B1 // _ECM_D
+    pairs = [set() for _ in range(first, (_TRIAL_PRIMES[-1] + _ECM_D // 2) // _ECM_D + 1)]
+    for r in _TRIAL_PRIMES[split:]:
+        m = (r + _ECM_D // 2 - 1) // _ECM_D
+        pairs[m - first].add(abs(r - m * _ECM_D))
+    return tuple(stage1), tuple(bytes(sorted(js)) for js in pairs)
+
+
 def _x_add(p, q, diff, n):
     """x-coordinate of p + q from those of p, q and p - q."""
     u = (p[0] - p[1]) * (q[0] + q[1]) % n
@@ -96,71 +129,145 @@ def _x_dbl(p, a24, n):
     return s * d % n, t * (d + a24 * t) % n
 
 
-def _ladder(p, k, a24, n):
-    """[k]p for k >= 1 by the Montgomery ladder."""
-    r0, r1 = p, _x_dbl(p, a24, n)
-    for bit in bin(k)[3:]:
+def _ladder(x, z, bits, a24, n):
+    """[k]p for p = (x : z) and bits = bin(k)[3:], by the Montgomery ladder.
+
+    Each step is _x_add(r1, r0, p) and one _x_dbl written out, to the same values.
+    """
+    s, d = (x + z) ** 2 % n, (x - z) ** 2 % n
+    t = s - d
+    x0, z0, x1, z1 = x, z, s * d % n, t * (d + a24 * t) % n
+    for bit in bits:
+        a, b, c, e = x0 + z0, x0 - z0, x1 + z1, x1 - z1
+        u, v = e * a % n, c * b % n
+        xs, zs = z * (u + v) ** 2 % n, x * (u - v) ** 2 % n  # r0 + r1
         if bit == "1":
-            r0, r1 = _x_add(r1, r0, p, n), _x_dbl(r1, a24, n)
+            s, d = c * c % n, e * e % n
+            t = s - d
+            x0, z0, x1, z1 = xs, zs, s * d % n, t * (d + a24 * t) % n
         else:
-            r0, r1 = _x_dbl(r0, a24, n), _x_add(r1, r0, p, n)
-    return r0
+            s, d = a * a % n, b * b % n
+            t = s - d
+            x0, z0, x1, z1 = s * d % n, t * (d + a24 * t) % n, xs, zs
+    return x0, z0
 
 
 def _ecm_curve(n: int, sigma: int) -> int | None:
     """A nontrivial factor of composite n from Suyama's curve sigma, or None."""
+    stage1, pairs = _ecm_plan()
     u, v = sigma * sigma - 5, 4 * sigma
     a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
-    q = (u**3 % n, v**3 % n)
-    split = bisect.bisect_right(_TRIAL_PRIMES, _ECM_B1)
+    x, z = u**3 % n, v**3 % n
     # stage 1: [p^e]q for every prime power p^e <= B1; a gcd per prime, so
     # primes of n that the curve finds at different p^e still come apart
-    for p in _TRIAL_PRIMES[:split]:
-        pe = p
-        while pe * p <= _ECM_B1:
-            pe *= p
-        q = _ladder(q, pe, a24, n)
-        g = math.gcd(q[1], n)
+    for bits in stage1:
+        x, z = _ladder(x, z, bits, a24, n)
+        g = math.gcd(z, n)
         if g > 1:
             return g if g < n else None
     # stage 2: a prime r = m*D +- j kills q mod p iff x([m*D]q) = x([j]q) mod p
+    q = x, z
     twice = _x_dbl(q, a24, n)
-    baby = {1: q, 3: _x_add(twice, q, q, n)}
+    baby = [None, q, None, _x_add(twice, q, q, n)]  # [j]q at index j, for odd j < D/2
     for j in range(5, _ECM_D // 2, 2):
-        baby[j] = _x_add(baby[j - 2], twice, baby[j - 4], n)
+        baby += [None, _x_add(baby[j - 2], twice, baby[j - 4], n)]
     m = _ECM_B1 // _ECM_D
-    step = _ladder(q, _ECM_D, a24, n)
-    prev, giant = _ladder(q, (m - 1) * _ECM_D, a24, n), _ladder(q, m * _ECM_D, a24, n)
+    step = _ladder(x, z, bin(_ECM_D)[3:], a24, n)
+    prev = _ladder(x, z, bin((m - 1) * _ECM_D)[3:], a24, n)
+    giant = _ladder(x, z, bin(m * _ECM_D)[3:], a24, n)
     acc = 1
-    for r in _TRIAL_PRIMES[split:]:
-        while m * _ECM_D + _ECM_D // 2 < r:
-            g = math.gcd(acc, n)
-            if g > 1:
-                return g if g < n else None
-            prev, giant = giant, _x_add(giant, step, prev, n)
-            m += 1
-        x, z = baby[abs(r - m * _ECM_D)]
-        acc = acc * (giant[0] * z - x * giant[1]) % n
-    g = math.gcd(acc, n)
-    return g if 1 < g < n else None
+    for js in pairs:
+        gx, gz = giant
+        for j in js:
+            bx, bz = baby[j]
+            acc = acc * (gx * bz - bx * gz) % n
+        g = math.gcd(acc, n)
+        if g > 1:
+            return g if g < n else None
+        prev, giant = giant, _x_add(giant, step, prev, n)
+    return None
 
 
-def _factor_into(n: int, out: dict[int, int], sigmas) -> bool:
+def _lanes() -> int:
+    """Curves to run side by side: one per usable core, or 1 where fork is missing or unsafe."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return 1  # a forked child of a threaded process can deadlock on a lock another thread held
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _spawn(n: int, sigma: int):
+    """(pid, pipe) of a forked helper that writes _ecm_curve(n, sigma) in hex, 0 for None."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                pipe.write(b"%x" % (_ecm_curve(n, sigma) or 0))
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _first_split(n: int, sigmas: deque) -> int | None:
+    """The factor that the first curve in sigmas to split n finds, or None.
+
+    The curves run in batches: n's first curve alone, then one per lane. This
+    process runs a batch's first sigma and forked helpers the others; the
+    results are read in sigma order, and the sigmas after the first split go
+    back to the front of sigmas. So the curves spent and the factor found are
+    those of running one curve after another. A sigma whose helper cannot be
+    forked or reports nothing runs here.
+    """
+    width = 1
+    while sigmas:
+        batch = [sigmas.popleft() for _ in range(min(width, len(sigmas)))]
+        helpers = [None]  # batch[0] runs here
+        try:
+            for sigma in batch[1:]:
+                try:
+                    helpers.append(_spawn(n, sigma))
+                except OSError:
+                    helpers.append(None)
+            for i, helper in enumerate(helpers):
+                report = helper[1].read() if helper else b""
+                d = (int(report, 16) or None) if report else _ecm_curve(n, batch[i])
+                if d is not None:
+                    sigmas.extendleft(reversed(batch[i + 1 :]))
+                    return d
+        finally:
+            for pid, pipe in filter(None, helpers):
+                from signal import SIGKILL  # imported here: it takes 1 ms at start-up
+
+                pipe.close()
+                os.kill(pid, SIGKILL)
+                os.waitpid(pid, 0)
+        width = _lanes()
+    return None
+
+
+def _factor_into(n: int, out: dict[int, int], sigmas: deque) -> bool:
     """Accumulate prime factors of n into out; False once sigmas run out.
 
-    n has no prime factor among the trial primes; sigmas is the iterator of
-    curves left to the whole try_factorize call.
+    n has no prime factor among the trial primes; sigmas holds the curves
+    left to the whole try_factorize call.
     """
     if n == 1:
         return True
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return True
-    for sigma in sigmas:
-        d = _ecm_curve(n, sigma)
-        if d is not None:
-            return _factor_into(d, out, sigmas) and _factor_into(n // d, out, sigmas)
-    return False
+    d = _first_split(n, sigmas)
+    return d is not None and _factor_into(d, out, sigmas) and _factor_into(n // d, out, sigmas)
 
 
 def try_factorize(n: int) -> dict[int, int] | None:
@@ -178,7 +285,7 @@ def try_factorize(n: int) -> dict[int, int] | None:
         out[n] = 1
     elif n > 1:
         # Suyama sigma = 5 gives u = v, a singular curve
-        if not _factor_into(n, out, iter(range(6, 6 + ECM_CURVES))):
+        if not _factor_into(n, out, deque(range(6, 6 + ECM_CURVES))):
             return None
     return out
 

@@ -1,11 +1,11 @@
 """Exact spanning-tree counting.
 
 Independent routes to the same number: the all-ones-plus-Laplacian
-determinant det(J+Q)/n^2, brute-force enumeration, the deletion-contraction
-recurrence, multiplication over biconnected blocks, and, for power graphs,
-the weighted count on the quotient by cyclic subgroups. The graph routes
-work on a MultiGraph; a PowerGraph enters through `as_multigraph`, the one
-conversion. A disconnected graph counts 0 trees on every route.
+determinant det(J+Q)/n^2, multiplication over biconnected blocks, and, for
+power graphs, the weighted count on the quotient by cyclic subgroups. The
+graph routes work on a MultiGraph; a PowerGraph enters through
+`as_multigraph`, the one conversion. A disconnected graph counts 0 trees on
+every route. The brute-force oracles that check them live with the tests.
 
 The quotient's weighted count is the determinant of its Laplacian with one
 root's row and column deleted, found by exact sparse elimination in
@@ -166,36 +166,12 @@ class MultiGraph:
     def edge_count(self) -> int:
         return sum(self._mult.values())
 
-    def degree(self, v: int) -> int:
-        return sum(m for (a, b), m in self._mult.items() if a == v or b == v)
-
     def is_connected(self) -> bool:
         rows = [0] * self.vertex_count
         for a, b in self._mult:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
         return _rows_connected(rows)
-
-    def without_edge(self, u: int, v: int) -> "MultiGraph":
-        """Copy with the (u,v) edge removed at all multiplicities."""
-        key = (u, v) if u < v else (v, u)
-        g = MultiGraph(self.vertex_count)
-        g._mult = {k: m for k, m in self._mult.items() if k != key}
-        return g
-
-    def contracted(self, u: int, v: int) -> "MultiGraph":
-        """Identify u and v (loops dropped); v's index disappears."""
-        if u > v:
-            u, v = v, u
-        relabel = [x if x < v else (u if x == v else x - 1) for x in range(self.vertex_count)]
-        g = MultiGraph(self.vertex_count - 1)
-        for (a, b), m in self._mult.items():
-            ra, rb = relabel[a], relabel[b]
-            if ra == rb:
-                continue
-            key = (ra, rb) if ra < rb else (rb, ra)
-            g._mult[key] = g._mult.get(key, 0) + m
-        return g
 
     def __repr__(self):
         return f"MultiGraph(n={self.vertex_count}, edges={self.edges()})"
@@ -403,124 +379,6 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
     if rem:
         raise DiscrepancyDetected("quotient count not divisible by the class sizes")
     return TreeNumber(value)
-
-
-def enumerate_spanning_trees(graph) -> TreeNumber:
-    """Count spanning trees by backtracking over edge subsets.
-
-    Parallel edges count as distinct trees. Valid when the graph has at most
-    12 vertices or at most 24 edge instances.
-    """
-    g = as_multigraph(graph)
-    n = g.vertex_count
-    total_edges = g.edge_count()
-    if n > 12 and total_edges > 24:
-        raise TooLarge(
-            f"enumeration capped at 12 vertices or 24 edges, got {n} and {total_edges}"
-        )
-    if n <= 1:
-        return TreeNumber(1)
-    instances = []
-    for u, v, m in g.edges():
-        instances.extend([(u, v)] * m)
-    need = n - 1
-    parent = list(range(n))
-    rank = [0] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    count = 0
-
-    def rec(i: int, chosen: int) -> None:
-        nonlocal count
-        if chosen == need:
-            count += 1
-            return
-        if len(instances) - i < need - chosen:
-            return
-        u, v = instances[i]
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            # union by rank, undone after the branch
-            if rank[ru] < rank[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            bumped = rank[ru] == rank[rv]
-            if bumped:
-                rank[ru] += 1
-            rec(i + 1, chosen + 1)
-            parent[rv] = rv
-            if bumped:
-                rank[ru] -= 1
-        rec(i + 1, chosen)
-
-    rec(0, 0)
-    return TreeNumber(count)
-
-
-def _canonical_key(g: MultiGraph):
-    """Color-refined relabeling key; equal keys imply isomorphic graphs."""
-    n = g.vertex_count
-    colors = [g.degree(v) for v in range(n)]
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (a, b), m in g._mult.items():
-        adj[a].append((b, m))
-        adj[b].append((a, m))
-    for _ in range(n):
-        sigs = [
-            (colors[v], tuple(sorted((m, colors[w]) for w, m in adj[v])))
-            for v in range(n)
-        ]
-        palette = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new_colors = [palette[s] for s in sigs]
-        if new_colors == colors:
-            break
-        colors = new_colors
-    order = sorted(range(n), key=lambda v: (colors[v], v))
-    pos = {v: i for i, v in enumerate(order)}
-    edges = []
-    for (a, b), m in g._mult.items():
-        ra, rb = pos[a], pos[b]
-        edges.append((min(ra, rb), max(ra, rb), m))
-    return (n, tuple(sorted(edges)))
-
-
-def deletion_contraction_kappa(graph) -> TreeNumber:
-    """Tree count via kappa(G) = kappa(G - e) + kappa(G . e), memoized.
-
-    An edge of multiplicity m contributes kappa(G without the edge) plus
-    m * kappa(G contracted at it), which is the recurrence applied to each
-    of the m parallel instances in turn. Capped at 14 vertices.
-    """
-    g = as_multigraph(graph)
-    if g.vertex_count > 14:
-        raise TooLarge("deletion-contraction capped at 14 vertices")
-    memo: dict = {}
-
-    def rec(h: MultiGraph) -> int:
-        n = h.vertex_count
-        if n == 1:
-            return 1
-        total = h.edge_count()
-        if total < n - 1 or not h.is_connected():
-            return 0
-        if total == n - 1:
-            return 1
-        if n == 2:
-            return next(iter(h._mult.values()))
-        key = _canonical_key(h)
-        found = memo.get(key)
-        if found is not None:
-            return found
-        (u, v), m = next(iter(h._mult.items()))
-        result = rec(h.without_edge(u, v)) + m * rec(h.contracted(u, v))
-        memo[key] = result
-        return result
-
-    return TreeNumber(rec(g))
 
 
 def _biconnected_blocks(g: MultiGraph) -> list[list[tuple[int, int, int]]]:

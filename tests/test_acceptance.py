@@ -30,12 +30,11 @@ from powertree.specparse import parse_group_spec
 from powertree.table1 import compute_table
 from powertree.treecount import (
     MultiGraph,
-    deletion_contraction_kappa,
-    enumerate_spanning_trees,
     temperley_kappa,
 )
 
 from randgraphs import random_connected_multigraph
+from treeoracles import deletion_contraction_kappa, enumerate_spanning_trees
 
 A5_KAPPA = 3**10 * 5**18
 

@@ -1,5 +1,11 @@
+import bisect
+import os
+import random
+import subprocess
 import sys
-from math import prod
+from collections import deque
+from functools import lru_cache
+from math import gcd, prod
 
 import pytest
 
@@ -91,6 +97,7 @@ def test_try_factorize_past_the_trial_primes(factors):
 def test_factoring_gives_up_after_one_shared_curve_budget(monkeypatch):
     # 100003 splits off, then the two ~100-bit primes use up the curves left
     n = 100003 * next_prime(2**100) * next_prime(2**101)
+    monkeypatch.setattr(numutil, "_lanes", lambda: 1)  # a forked helper's calls are not logged
     curves = []
     curve = numutil._ecm_curve
 
@@ -116,6 +123,7 @@ def test_tree_count_gives_up_once(monkeypatch):
     # a resisting base spends the curve budget once, and never again on the
     # whole value or in a product, however often the factorization is asked for
     monkeypatch.setattr(numutil, "ECM_CURVES", 2)
+    monkeypatch.setattr(numutil, "_lanes", lambda: 1)  # a forked helper's calls are not logged
     sigmas = []
     curve = numutil._ecm_curve
 
@@ -131,6 +139,226 @@ def test_tree_count_gives_up_once(monkeypatch):
         assert count.factored() == str(18 * hard)
     assert (count * TreeNumber(2)).factorization is None
     assert sigmas == [6, 7]
+
+
+# Reference elliptic-curve stage: one curve after another, one stage-2 product
+# term per prime, the ladder through _ref_x_add and _ref_x_dbl. It is the
+# oracle for the curve, its plan and its lanes.
+def _ref_x_add(p, q, diff, n):
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _ref_x_dbl(p, a24, n):
+    s = (p[0] + p[1]) ** 2 % n
+    d = (p[0] - p[1]) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _ref_ladder(p, k, a24, n):
+    r0, r1 = p, _ref_x_dbl(p, a24, n)
+    for bit in bin(k)[3:]:
+        if bit == "1":
+            r0, r1 = _ref_x_add(r1, r0, p, n), _ref_x_dbl(r1, a24, n)
+        else:
+            r0, r1 = _ref_x_dbl(r0, a24, n), _ref_x_add(r1, r0, p, n)
+    return r0
+
+
+def _ref_ecm_curve(n, sigma, b1=2000, d=210):
+    primes = numutil._TRIAL_PRIMES
+    u, v = sigma * sigma - 5, 4 * sigma
+    a24 = (v - u) ** 3 * (3 * u + v) * pow(16 * u**3 * v, -1, n) % n
+    q = (u**3 % n, v**3 % n)
+    split = bisect.bisect_right(primes, b1)
+    for p in primes[:split]:
+        pe = p
+        while pe * p <= b1:
+            pe *= p
+        q = _ref_ladder(q, pe, a24, n)
+        g = gcd(q[1], n)
+        if g > 1:
+            return g if g < n else None
+    twice = _ref_x_dbl(q, a24, n)
+    baby = {1: q, 3: _ref_x_add(twice, q, q, n)}
+    for j in range(5, d // 2, 2):
+        baby[j] = _ref_x_add(baby[j - 2], twice, baby[j - 4], n)
+    m = b1 // d
+    step = _ref_ladder(q, d, a24, n)
+    prev, giant = _ref_ladder(q, (m - 1) * d, a24, n), _ref_ladder(q, m * d, a24, n)
+    acc = 1
+    for r in primes[split:]:
+        while m * d + d // 2 < r:
+            g = gcd(acc, n)
+            if g > 1:
+                return g if g < n else None
+            prev, giant = giant, _ref_x_add(giant, step, prev, n)
+            m += 1
+        x, z = baby[abs(r - m * d)]
+        acc = acc * (giant[0] * z - x * giant[1]) % n
+    g = gcd(acc, n)
+    return g if 1 < g < n else None
+
+
+def _ref_factor_into(n, out, sigmas):
+    if n == 1:
+        return True
+    if is_prime(n):
+        out[n] = out.get(n, 0) + 1
+        return True
+    for sigma in sigmas:
+        d = _ref_ecm_curve(n, sigma)
+        if d is not None:
+            return _ref_factor_into(d, out, sigmas) and _ref_factor_into(n // d, out, sigmas)
+    return False
+
+
+# Z_360, Z_336, Z_420 and Z_312 reduced leave these cofactors to the curves
+COFACTORS = {
+    "Z_360r": 1170242789503 * 11010048203115136316387704037,
+    "Z_336r": 676285091873 * 21960392673722771308231127,
+    "Z_420r": 1379113841234273 * 3869103911426611853700634541,
+    "Z_312r": 39069483757 * 2102871306143,
+}
+SQUAREFREE = [*COFACTORS.values(), 100003 * 100019]
+
+
+def _random_semiprimes(count=20, seed=18):
+    """Products p*q of 40..240 bits, p of 18..40 bits, so curves split most."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        bits = rng.randint(40, 240)
+        pbits = rng.randint(18, min(40, bits - 18))
+        p = next_prime(rng.getrandbits(pbits) | 1 << (pbits - 1))
+        q = next_prime(rng.getrandbits(bits - pbits) | 1 << (bits - pbits - 1))
+        out.append(p * q)
+    return out
+
+
+LANE_CORPUS = [*COFACTORS.values(), *_random_semiprimes()]
+
+
+@lru_cache(maxsize=None)
+def _sequential(n, curves=numutil.ECM_CURVES):
+    """(factorization or None, sigmas left) from the curves one after another."""
+    out = {}
+    sigmas = iter(range(6, 6 + curves))
+    done = _ref_factor_into(n, out, sigmas)
+    return out if done else None, list(sigmas)
+
+
+def test_curve_matches_the_reference_curve():
+    for n in SQUAREFREE:
+        for sigma in range(6, 12):
+            assert numutil._ecm_curve(n, sigma) == _ref_ecm_curve(n, sigma), (n, sigma)
+
+
+def test_ladder_matches_the_reference_ladder():
+    rng = random.Random(7)
+    for _ in range(20):
+        n = rng.getrandbits(rng.randint(40, 240)) | 1
+        x, z, a24 = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        k = rng.randrange(1, 2**20)
+        assert numutil._ladder(x, z, bin(k)[3:], a24, n) == _ref_ladder((x, z), k, a24, n)
+
+
+def test_stage_two_plan_pairs_every_prime_once():
+    stage1, pairs = numutil._ecm_plan()
+    primes = numutil._TRIAL_PRIMES
+    low = bisect.bisect_right(primes, 2000)
+    assert len(stage1) == low
+    for p, bits in zip(primes, stage1):  # the largest power of p up to B1
+        pe = int("1" + bits, 2)
+        assert list(factorize(pe)) == [p] and pe <= 2000 < pe * p
+    covered = []
+    first = 2000 // 210
+    for m, js in enumerate(pairs, first):
+        for j in js:
+            partners = [r for r in (m * 210 - j, m * 210 + j) if 2000 < r <= 99991 and is_prime(r)]
+            assert partners, (m, j)  # every listed pair has a prime partner
+            covered += partners
+    assert sorted(covered) == primes[low:]  # each prime in exactly one pair
+    assert sum(map(len, pairs)) == 7314
+
+
+def test_importing_the_cli_leaves_the_plan_unbuilt():
+    code = (
+        "import powertree.cli\n"
+        "from powertree import numutil\n"
+        "print(numutil._ecm_plan.cache_info().currsize)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout == "0\n"
+
+
+@pytest.mark.parametrize(
+    "width, fork_fails", [(1, False), (2, False), (3, False), (3, True)], ids=["w1", "w2", "w3", "w3-nofork"]
+)
+def test_lanes_give_the_sequential_result(monkeypatch, width, fork_fails):
+    monkeypatch.setattr(numutil, "_lanes", lambda: width)
+    if fork_fails:
+
+        def no_fork():
+            raise OSError("fork refused")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+    budgets = []
+
+    def recorded(sigmas):
+        budgets.append(deque(sigmas))
+        return budgets[-1]
+
+    monkeypatch.setattr(numutil, "deque", recorded)
+    for n in LANE_CORPUS:
+        assert (try_factorize(n), list(budgets[-1])) == _sequential(n), n
+    # the one curve that splits each of the two slow cofactors into primes
+    for name, sigma in (("Z_420r", 63), ("Z_360r", 15)):
+        assert _sequential(COFACTORS[name])[1] == list(range(sigma + 1, 6 + numutil.ECM_CURVES))
+    # a budget that runs out leaves no sigma, in lanes as in sequence
+    monkeypatch.setattr(numutil, "ECM_CURVES", 5)
+    hard = next_prime(2**100) * next_prime(2**101)
+    assert try_factorize(hard) is None
+    assert (None, list(budgets[-1])) == _sequential(hard, 5) == (None, [])
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_a_helper_that_reports_nothing_leaves_its_curve_here(monkeypatch):
+    here = os.getpid()
+    curve = numutil._ecm_curve
+
+    def curve_here_only(n, sigma):
+        if os.getpid() != here:
+            raise RuntimeError("helper fails")
+        return curve(n, sigma)
+
+    monkeypatch.setattr(numutil, "_lanes", lambda: 3)
+    monkeypatch.setattr(numutil, "_ecm_curve", curve_here_only)
+    sigmas = deque(range(6, 6 + numutil.ECM_CURVES))
+    assert numutil._first_split(COFACTORS["Z_360r"], sigmas) == 1170242789503
+    assert list(sigmas) == _sequential(COFACTORS["Z_360r"])[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_lanes_beside_other_threads():
+    import threading
+
+    release = threading.Event()
+    waiter = threading.Thread(target=release.wait, args=(10,))
+    waiter.start()
+    try:
+        assert numutil._lanes() == 1
+    finally:
+        release.set()
+        waiter.join(10)
+    assert not waiter.is_alive()
+    if hasattr(os, "sched_getaffinity"):
+        assert numutil._lanes() == len(os.sched_getaffinity(0))
 
 
 def test_phi():

@@ -17,14 +17,13 @@ from powertree.treecount import (
     TreeNumber,
     _root_deleted_determinant,
     block_decomposition_kappa,
-    deletion_contraction_kappa,
-    enumerate_spanning_trees,
     exact_integer_determinant,
     quotient_kappa,
     temperley_kappa,
 )
 
 from randgraphs import random_connected_multigraph
+from treeoracles import contracted, deletion_contraction_kappa, enumerate_spanning_trees, without_edge
 
 
 def _graph(text, reduced=False):
@@ -282,8 +281,8 @@ def test_cut_edge_contraction_preserves_kappa():
         graph = as_multigraph(power_graph(g))
         base = temperley_kappa(graph).value
         for reflection in range(n, 2 * n):
-            contracted = graph.contracted(0, reflection)
-            assert temperley_kappa(contracted).value == base
+            merged = contracted(graph, 0, reflection)
+            assert temperley_kappa(merged).value == base
 
 
 def test_oracle_triangle_random_multigraphs():
@@ -455,14 +454,14 @@ def test_multigraph_validation():
 
 def test_multigraph_contraction_merges_multiplicities():
     g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
-    c = g.contracted(1, 2)
+    c = contracted(g, 1, 2)
     assert c.vertex_count == 2
     assert c.multiplicity(0, 1) == 2  # the (1,2) edge became a dropped loop
 
 
 def test_multigraph_without_edge():
     g = MultiGraph(3, [(0, 1, 2), (1, 2)])
-    h = g.without_edge(0, 1)
+    h = without_edge(g, 0, 1)
     assert h.multiplicity(0, 1) == 0
     assert h.multiplicity(1, 2) == 1
     assert g.multiplicity(0, 1) == 2  # original untouched
