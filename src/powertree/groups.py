@@ -4,7 +4,8 @@ Every group is materialized on indices 0..order-1 with index 0 the identity.
 A group keeps one representation: its element list, the index of each element,
 and the multiplication oracle on elements. No Cayley table is built. The group
 also owns its partition into cyclic subgroups, found with one power walk per
-cyclic subgroup; the power graph and the tree counts read only that partition.
+cyclic subgroup; the power graph and the tree counts read only that partition
+and its inclusions.
 """
 
 from __future__ import annotations
@@ -140,6 +141,14 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def strict_inclusions(g: FiniteGroup):
+    """Yield (c, d) for every pair of cyclic subgroups C < D of g, as class
+    indices, grouped by D; every C inside D is <x> for some x in D."""
+    cls = g.cyclic_class
+    return ((c, d) for d, members in enumerate(g.cyclic_subgroups)
+            for c in {cls[x] for x in members} - {d})
 
 
 def _check_cap(order: int, what: str) -> None:

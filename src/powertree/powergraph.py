@@ -3,13 +3,14 @@
 Vertices x, y are adjacent exactly when one of the cyclic subgroups <x>, <y>
 contains the other, so the graph is the poset of cyclic subgroups with each
 subgroup blown up into a clique of its generators (closed twins). A graph
-holds only its group. Its vertex and edge counts come from that poset; its
-packed bit rows, one integer per vertex, are built on the first read by a
-route that needs them (the clique search, the completeness test, the
-decomposition pre-check). Edge walks bisect one sorted closed neighbourhood
-per cyclic subgroup, shared by its generators, so a walk costs time in
-proportion to the edges it lists. The emitters write to a stream piece by
-piece, one vertex's edges at a time.
+holds only its group, and every query reads that poset: adjacency is one
+membership test, the vertex and edge counts, completeness and connectivity
+come from the classes and their inclusions, and the clique number is the
+most vertices on a chain of cyclic subgroups. Edge walks and degrees read
+one sorted closed neighbourhood per cyclic subgroup, shared by its
+generators and built on first use, so a walk costs time in proportion to
+the edges it lists. The emitters write to a stream piece by piece, one
+vertex's edges at a time.
 """
 
 from __future__ import annotations
@@ -20,10 +21,10 @@ from collections import Counter
 from math import gcd
 
 from .errors import OutOfRange, TooLarge, TrivialGroup
-from .groups import FiniteGroup
+from .groups import FiniteGroup, strict_inclusions
 from .numutil import divisors, phi
+from .treecount import _rows_connected
 
-CLIQUE_SEARCH_LIMIT = 512
 # cyclic:2000 (1 777 660 edges) is written as JSON to a file in about 0.30 s at 17 MB peak RSS
 RENDER_EDGE_LIMIT = 2_000_000
 
@@ -33,84 +34,74 @@ class PowerGraph:
 
     Vertex v is element v + first of `group`, first = 1 when the identity is
     deleted. label(v) is vertex v's text, made only when the graph is rendered.
-    `rows` (bitmask adjacency, one int per vertex) is built on first read.
     """
 
-    __slots__ = ("vertex_count", "group", "first", "name", "label", "_rows", "_closed")
+    __slots__ = ("vertex_count", "group", "first", "name", "label", "_closed")
 
     def __init__(self, group, first=0):
-        self.group, self.first, self._rows, self._closed = group, first, None, None
+        self.group, self.first, self._closed = group, first, None
         self.name = f"P({group.name}{'#' * first})"
         self.vertex_count = group.order - first
         self.label = lambda v: group.element_repr(v + first)
 
-    @property
-    def rows(self) -> list[int]:
-        if self._rows is None:
-            self._rows = _rows(self.group, self.first)
-        return self._rows
-
     def is_adjacent(self, u: int, v: int) -> bool:
-        return bool(self.rows[u] >> v & 1)
+        x, y = u + self.first, v + self.first
+        subgroups, cls = self.group.cyclic_subgroups, self.group.cyclic_class
+        return x != y and (x in subgroups[cls[y]] or y in subgroups[cls[x]])
 
     def degree(self, v: int) -> int:
-        return self.rows[v].bit_count()
+        return len(self._neighbourhoods()[self.group.cyclic_class[v + self.first]]) - 1
 
     def edges(self):
         return ((u, v) for u, later in self._later_neighbours() for v in later)
 
     def edge_count(self) -> int:
-        """From the subgroup poset, reading no rows. The k generators of a cyclic
-        subgroup D that are vertices form a clique, and each is joined to D's
-        |D| - first - k other vertices, the generators of the subgroups inside
-        D; so an edge between comparable classes is counted once, at the larger."""
+        """From the subgroup poset. The k generators of a cyclic subgroup D that
+        are vertices form a clique, and each is joined to D's |D| - first - k
+        other vertices, the generators of the subgroups inside D; so an edge
+        between comparable classes is counted once, at the larger."""
         subgroups, first = self.group.cyclic_subgroups, self.first
         return sum(k * (k - 1) // 2 + k * (len(subgroups[d]) - first - k)
                    for d, k in Counter(self.group.cyclic_class[first:]).items())
 
-    def _later_neighbours(self):
-        """Yield (u, sorted neighbours v > u) per vertex u, sliced from its class's
-        closed neighbourhood; routes that read only rows never build those."""
+    def is_connected(self) -> bool:
+        """The full graph is, through the identity. A class's generators are a
+        clique, so the reduced graph is connected when its classes are, joined
+        by inclusion; class c is bit c - 1, the identity's class 0 left out."""
+        if not self.first:
+            return True
+        rows = [0] * (len(self.group.cyclic_subgroups) - 1)
+        for c, d in strict_inclusions(self.group):
+            if c:
+                rows[c - 1] |= 1 << d - 1
+                rows[d - 1] |= 1 << c - 1
+        return _rows_connected(rows)
+
+    def _neighbourhoods(self) -> list[tuple[int, ...]]:
         if self._closed is None:
             self._closed = _closed_neighbourhoods(self.group, self.first)
+        return self._closed
+
+    def _later_neighbours(self):
+        """Yield (u, sorted neighbours v > u) per vertex u, sliced from its
+        class's closed neighbourhood."""
+        closed = self._neighbourhoods()
         for u, c in enumerate(self.group.cyclic_class[self.first:]):
-            nb = self._closed[c]
+            nb = closed[c]
             yield u, nb[bisect_right(nb, u):]
 
     def __repr__(self):
         return f"PowerGraph({self.name}, n={self.vertex_count}, m={self.edge_count()})"
 
 
-def _strict_inclusions(g: FiniteGroup):
-    """Yield (c, d) for every pair of cyclic subgroups C < D of g, as class
-    indices; every C inside D is <x> for some x in D."""
-    cls = g.cyclic_class
-    return ((c, d) for d, members in enumerate(g.cyclic_subgroups)
-            for c in {cls[x] for x in members} - {d})
-
-
-def _rows(g: FiniteGroup, first: int) -> list[int]:
-    """Bit rows of the power graph on elements first.. of g: a class reaches its
-    own generators and those of every class comparable with it."""
-    cls = g.cyclic_class[first:]
-    generators = [0] * len(g.cyclic_subgroups)
-    for v, c in enumerate(cls):
-        generators[c] |= 1 << v
-    reach = list(generators)
-    for c, d in _strict_inclusions(g):
-        reach[c] |= generators[d]
-        reach[d] |= generators[c]
-    return [reach[c] ^ 1 << v for v, c in enumerate(cls)]
-
-
 def _closed_neighbourhoods(g: FiniteGroup, first: int) -> list[tuple[int, ...]]:
     """Per cyclic class of g, the sorted vertices of its own and every comparable
-    class, vertex v being element v + first: the rows as vertex lists."""
+    class, vertex v being element v + first."""
     generators = [[] for _ in g.cyclic_subgroups]
     for v, c in enumerate(g.cyclic_class[first:]):
         generators[c].append(v)
     closed = [list(gens) for gens in generators]
-    for c, d in _strict_inclusions(g):
+    for c, d in strict_inclusions(g):
         closed[c] += generators[d]
         closed[d] += generators[c]
     return [tuple(sorted(nb)) for nb in closed]
@@ -147,51 +138,22 @@ def degree_in_cyclic(n: int, m: int) -> int:
 
 def is_complete(graph: PowerGraph) -> bool:
     n = graph.vertex_count
-    full = (1 << n) - 1
-    return all(graph.rows[v] | (1 << v) == full for v in range(n))
+    return 2 * graph.edge_count() == n * (n - 1)
 
 
 def clique_number(graph: PowerGraph) -> int:
-    """Exact maximum clique size by coloring-bounded branch and bound."""
-    n = graph.vertex_count
-    if n > CLIQUE_SEARCH_LIMIT:
-        raise TooLarge(f"clique search capped at {CLIQUE_SEARCH_LIMIT} vertices")
-    if n == 0:
-        raise OutOfRange("clique number needs at least one vertex")
-    rows = graph.rows
-    best = 1
-
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        # Greedy coloring of the candidate set; color index bounds any
-        # clique inside it, so candidates are tried in reverse color order.
-        order: list[int] = []
-        bounds: list[int] = []
-        color = 0
-        uncolored = cand
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                bit = 1 << v
-                uncolored &= ~bit
-                avail &= ~bit & ~rows[v]
-                order.append(v)
-                bounds.append(color)
-        for i in range(len(order) - 1, -1, -1):
-            if size + bounds[i] <= best:
-                return
-            v = order[i]
-            cand &= ~(1 << v)
-            sub = cand & rows[v]
-            if size + 1 > best:
-                best = size + 1
-            if sub:
-                expand(size + 1, sub)
-
-    expand(0, (1 << n) - 1)
-    return best
+    """Exact maximum clique size. A vertex set is a clique exactly when its
+    cyclic subgroups form a chain, so this is the most vertices on a chain.
+    The pairs C < D come in order of |C|, so C's best chain is final before
+    it is extended to D."""
+    g = graph.group
+    own = [0] * len(g.cyclic_subgroups)  # vertices per class
+    for c in g.cyclic_class[graph.first:]:
+        own[c] += 1
+    best = own[:]  # most vertices on a chain ending at the class
+    for c, d in sorted(strict_inclusions(g), key=lambda pair: len(g.cyclic_subgroups[pair[0]])):
+        best[d] = max(best[d], best[c] + own[d])
+    return max(best)
 
 
 def _emit(graph: PowerGraph, chunks, out):

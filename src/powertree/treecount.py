@@ -18,6 +18,7 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import DiscrepancyDetected, TooLarge, TrivialGroup
+from .groups import strict_inclusions
 from .numutil import format_decimal, format_factored, try_factorize
 
 FACTOR_VALUE_LIMIT = 10**150
@@ -349,27 +350,24 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
     positive semidefinite, and so is each Schur complement at a positive
     pivot, so a zero pivot has a zero row: a component of Γ - r has no
     edge to r, Γ is disconnected, and the count is 0. Only
-    `group.cyclic_subgroups` and `group.cyclic_class` are read; no power
-    graph is built.
+    `group.cyclic_subgroups` and `group.cyclic_class` are read, with their
+    inclusions; no power graph is built.
     """
     if reduced and group.order < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
     subgroups = group.cyclic_subgroups
-    cls = group.cyclic_class
     sizes = [0] * len(subgroups)
-    for c in cls:
+    for c in group.cyclic_class:
         sizes[c] += 1
     drop = 1 if reduced else 0
     # Laplacian off-diagonal entries -k_C * k_D of the quotient
     adj: list[dict] = [{} for _ in sizes]
     # generators of strictly larger cyclic subgroups, per class
     up = [0] * len(sizes)
-    for c, s in enumerate(subgroups):
-        # each comparable pair once, from the larger subgroup
-        for b in {cls[y] for y in s} - {c}:
-            up[b] += sizes[c]
-            if b >= drop:
-                adj[c][b] = adj[b][c] = -sizes[c] * sizes[b]
+    for c, d in strict_inclusions(group):
+        up[c] += sizes[d]
+        if c >= drop:
+            adj[c][d] = adj[d][c] = -sizes[c] * sizes[d]
     kept = range(drop, len(sizes))
     # d_C + 1 = |C| + (generators above C), less the identity when reduced
     num = _root_deleted_determinant(adj, kept) * prod(
@@ -446,15 +444,12 @@ def block_decomposition_kappa(graph) -> TreeNumber:
     every route. Before its blocks are found, a graph is refused when it has
     more distinct edges than DENSE_MAX_DIM (n-1)/2, since blocks of b <= cap
     vertices hold b(b-1)/2 <= cap (b-1)/2 and b - 1 sums to n - 1; a power
-    graph's connectivity is read from its bit rows, its edge count from its
-    subgroup poset. Then every block is checked.
+    graph's connectivity and edge count are read from its subgroup poset.
+    Then every block is checked.
     """
-    if isinstance(graph, MultiGraph):
-        connected, distinct = graph.is_connected(), len(graph._mult)
-    else:
-        connected, distinct = _rows_connected(graph.rows), graph.edge_count()
-    if not connected:
+    if not graph.is_connected():
         return TreeNumber(0)
+    distinct = len(graph._mult) if isinstance(graph, MultiGraph) else graph.edge_count()
     n = graph.vertex_count
     if 2 * distinct > DENSE_MAX_DIM * (n - 1):
         raise TooLarge(f"decomposition block capped at dimension {DENSE_MAX_DIM};"

@@ -15,6 +15,7 @@ from powertree.numutil import format_decimal, is_prime, parse_factored
 from powertree.specparse import parse_group_spec
 from powertree.treecount import quotient_kappa
 from test_powergraph import LABEL_SPECS, ORACLE_SPECS
+from treeoracles import RESIDUE_PRIMES, residue_kappa
 
 ROUND_TRIP_SPECS = [
     "cyclic:12",
@@ -259,7 +260,11 @@ def test_cmd_kappa_default_route_near_the_order_cap(capsys):
         start = time.perf_counter()
         assert main(["kappa", text]) == 0, text
         assert time.perf_counter() - start < 5, text
-        assert capsys.readouterr().out.strip().isdigit()
+        out = capsys.readouterr().out
+        assert out.strip().isdigit()
+        if text == "sym:7":  # the product's residues take about 7 s
+            g = build(parse_group_spec(text))
+            assert [int(out) % p for p in RESIDUE_PRIMES] == [residue_kappa(g, p) for p in RESIDUE_PRIMES]
 
 
 @pytest.mark.parametrize("reduced", [False, True])

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 from collections import Counter
+from math import gcd
 
 import pytest
 
@@ -20,7 +21,7 @@ from powertree.powergraph import (
     to_json,
 )
 from powertree.specparse import parse_group_spec
-from powertree.treecount import quotient_kappa, temperley_kappa
+from powertree.treecount import MultiGraph, quotient_kappa, temperley_kappa
 
 
 def _graph(text, reduced=False):
@@ -42,9 +43,23 @@ def _pairwise_rows(g, reduced=False):
 
 
 def _bitwise_edges(graph):
-    """Reference edge list: every pair u < v whose bit is set, in order."""
+    """Reference edge list: every pair u < v whose bit is set in the pairwise rows, in order."""
+    rows = _pairwise_rows(graph.group, reduced=graph.first == 1)
     n = graph.vertex_count
-    return [(u, v) for u in range(n) for v in range(u + 1, n) if graph.rows[u] >> v & 1]
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
+
+
+def _check_matches_pairwise_rule(graph, rows):
+    """is_adjacent on every pair, degree, connectivity and completeness of
+    `graph` against its reference rows."""
+    n = graph.vertex_count
+    assert [[graph.is_adjacent(u, v) for v in range(n)] for u in range(n)] == [
+        [bool(row >> v & 1) for v in range(n)] for row in rows
+    ]
+    assert [graph.degree(v) for v in range(n)] == [row.bit_count() for row in rows]
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rows[u] >> v & 1]
+    assert graph.is_connected() == MultiGraph(n, edges).is_connected()
+    assert is_complete(graph) == (2 * len(edges) == n * (n - 1))
 
 
 # the non-reduced catalog-dense benchmark groups, all of order <= 168
@@ -61,9 +76,9 @@ ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 61)] + [
 @pytest.mark.parametrize("text", ORACLE_SPECS)
 def test_power_graph_rows_match_pairwise_rule(text):
     g = build(parse_group_spec(text))
-    assert power_graph(g).rows == _pairwise_rows(g)
+    _check_matches_pairwise_rule(power_graph(g), _pairwise_rows(g))
     if g.order >= 2:
-        assert reduced_power_graph(g).rows == _pairwise_rows(g, reduced=True)
+        _check_matches_pairwise_rule(reduced_power_graph(g), _pairwise_rows(g, reduced=True))
 
 
 @pytest.mark.parametrize("text", list(dict.fromkeys(
@@ -237,13 +252,27 @@ def test_clique_number():
 def test_clique_number_matches_brute_force():
     for text in ["cyclic:6", "cyclic:10", "cyclic:12", "sym:3", "alt:4",
                  "dihedral:5", "quaternion:2", "elemabelian:2^3"]:
-        graph = _graph(text)
-        assert clique_number(graph) == _brute_force_clique(graph), text
+        for graph in (_graph(text), _graph(text, reduced=True)):
+            assert clique_number(graph) == _brute_force_clique(graph), graph.name
 
 
-def test_clique_number_cap():
-    with pytest.raises(TooLarge):
-        clique_number(_graph("cyclic:513"))
+def _divisor_chain_clique(n):
+    """ω(P(Z_n)): the generators of the subgroups on the best chain of divisors,
+    best(d) = phi(d) + max best(e) over the divisors e < d of d."""
+    best = {}
+    for d in (d for d in range(1, n + 1) if n % d == 0):
+        totient = sum(1 for k in range(d) if gcd(k, d) == 1)
+        best[d] = totient + max((best[e] for e in best if d % e == 0), default=0)
+    return best[n]
+
+
+@pytest.mark.parametrize("n, omega", [(1024, 1024), (2000, 1625), (9240, 4151)])
+def test_clique_number_above_512_vertices(n, omega):
+    # exact on every graph: these are above the 512 vertices the old search took
+    assert _divisor_chain_clique(n) == omega
+    assert clique_number(_graph(f"cyclic:{n}")) == omega
+    # every largest chain holds the identity
+    assert clique_number(_graph(f"cyclic:{n}", reduced=True)) == omega - 1
 
 
 def test_json_emitter_schema():
@@ -442,10 +471,10 @@ def _refuse(*args):
 def test_edge_count_from_the_poset_matches_the_rows(text, monkeypatch):
     graphs = [_graph(text), _graph(text, reduced=True)]
     with monkeypatch.context() as patched:
-        patched.setattr(powergraph, "_rows", _refuse)
         patched.setattr(powergraph, "_closed_neighbourhoods", _refuse)
         counts = [graph.edge_count() for graph in graphs]
-    assert counts == [sum(map(int.bit_count, graph.rows)) // 2 for graph in graphs]
+    assert counts == [sum(map(int.bit_count, _pairwise_rows(graph.group, graph.first == 1))) // 2
+                      for graph in graphs]
 
 
 @pytest.mark.parametrize("text", LABEL_SPECS)
@@ -458,8 +487,7 @@ def test_emitters_write_to_a_stream_what_they_return(text):
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])
-def test_cmd_graph_builds_no_bit_rows(fmt, monkeypatch, capsys):
-    monkeypatch.setattr(powergraph, "_rows", _refuse)
+def test_cmd_graph_prints_the_emitted_text_or_refuses(fmt, capsys):
     assert main(["graph", "sym:4", "--format", fmt]) == 0
     text = capsys.readouterr().out
     graph = _graph("sym:4")

@@ -4,10 +4,10 @@ from math import prod
 
 import pytest
 
-from powertree import treecount
+from powertree import powergraph, treecount
 from powertree.errors import DiscrepancyDetected, TooLarge, TrivialGroup
 from powertree.groups import GroupSpec, build
-from powertree.numutil import format_decimal
+from powertree.numutil import format_decimal, is_prime
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
 from powertree.table1 import GOLDEN_ROWS
@@ -23,7 +23,14 @@ from powertree.treecount import (
 )
 
 from randgraphs import random_connected_multigraph
-from treeoracles import contracted, deletion_contraction_kappa, enumerate_spanning_trees, without_edge
+from treeoracles import (
+    RESIDUE_PRIMES,
+    contracted,
+    deletion_contraction_kappa,
+    enumerate_spanning_trees,
+    residue_kappa,
+    without_edge,
+)
 
 
 def _graph(text, reduced=False):
@@ -235,19 +242,21 @@ def _no_conversion(graph):
     raise AssertionError("the graph was converted before the pre-check")
 
 
-def test_block_decomposition_refuses_from_the_bit_rows(monkeypatch):
+def test_block_decomposition_refuses_from_the_poset(monkeypatch):
     # a block of b <= 360 vertices holds at most 180 (b - 1) edges, and the
     # b - 1 sum to n - 1, so 1 777 660 edges on 2000 vertices need a larger block
     graph = _graph("cyclic:2000")
     monkeypatch.setattr(treecount, "as_multigraph", _no_conversion)
+    monkeypatch.setattr(powergraph, "_closed_neighbourhoods", _no_conversion)
     with pytest.raises(TooLarge, match="capped at dimension 360; 1777660 edges on 2000"):
         block_decomposition_kappa(graph)
 
 
-def test_block_decomposition_counts_disconnected_rows_as_zero(monkeypatch):
+def test_block_decomposition_counts_a_disconnected_poset_as_zero(monkeypatch):
     # 443 817 edges, over the bound, but disconnected: 0 before any cap
     graph = _graph("dihedral:1000", reduced=True)
     monkeypatch.setattr(treecount, "as_multigraph", _no_conversion)
+    monkeypatch.setattr(powergraph, "_closed_neighbourhoods", _no_conversion)
     assert block_decomposition_kappa(graph).value == 0
 
 
@@ -381,6 +390,24 @@ def test_quotient_matches_dense_quotient(text):
     g = build(parse_group_spec(text))
     for reduced in (False, True):
         assert quotient_kappa(g, reduced).value == _dense_quotient_kappa(g, reduced), text
+
+
+@pytest.mark.parametrize(
+    "text", ["cyclic:1", "cyclic:12", "dihedral:30", "quaternion:6", "sym:4", "alt:5", "elemabelian:2^4"]
+)
+def test_residue_oracle_matches_the_determinant(text):
+    assert all(map(is_prime, RESIDUE_PRIMES))
+    g = build(parse_group_spec(text))
+    kappa = temperley_kappa(power_graph(g)).value
+    assert [residue_kappa(g, p) for p in RESIDUE_PRIMES] == [kappa % p for p in RESIDUE_PRIMES]
+
+
+@pytest.mark.parametrize("text", ["sym:7", "alt:7"])
+def test_quotient_matches_the_residue_oracle_above_the_dense_cap(text):
+    # 5 040 and 2 520 vertices, past the dense routes, and no closed form applies
+    g = build(parse_group_spec(text))
+    kappa = quotient_kappa(g).value
+    assert [residue_kappa(g, p) for p in RESIDUE_PRIMES] == [kappa % p for p in RESIDUE_PRIMES]
 
 
 def _root_deleted_oracle(n, edges):
