@@ -11,17 +11,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from functools import cache
+from itertools import combinations
 from typing import NamedTuple
 
 from . import classify as classify_mod
 from . import closedform, table1
 from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge, UnsupportedOrder
 from .groups import FiniteGroup, GroupSpec, build, max_order
-from .numutil import format_decimal
+from .numutil import format_decimal, usable_cores
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
@@ -58,8 +58,6 @@ def _count(spec: GroupSpec, g: FiniteGroup, method: str, reduced: bool) -> TreeN
         return closedform.closed_form(spec, g, reduced)
     if method == "quotient":
         return quotient_kappa(g, reduced)
-    if method == "matrix-tree":  # |G| is known before the graph is built
-        check_dense_dim(g.order - reduced, "matrix-tree")
     graph = reduced_power_graph(g) if reduced else power_graph(g)
     if method == "matrix-tree":
         return temperley_kappa(graph)
@@ -146,9 +144,9 @@ def cmd_verify(args) -> int:
     if args.jobs < 1:
         raise OutOfRange("--jobs must be >= 1")
     values = range(1, args.max_n + 1)
-    # the pool starts every worker up front, so more than there are cores or
-    # values of n only costs processes
-    workers = min(args.jobs, os.cpu_count() or 1, args.max_n)
+    # the pool starts every worker up front, so more than there are usable
+    # cores or values of n only costs processes
+    workers = min(args.jobs, usable_cores(), args.max_n)
     if workers > 1:
         # imported here: multiprocessing costs every other command its import
         from concurrent.futures import ProcessPoolExecutor
@@ -171,25 +169,26 @@ def cmd_divisor_graph(args) -> int:
     cap = max_order()
     if args.n > cap:
         raise UnsupportedOrder(f"n = {args.n} > order cap {cap}")
-    dg = closedform.divisor_graph(args.n)
-    middle = set(dg.middle)
-    if args.complement:
-        edges = list(dg.complement_middle_edges)
-        title = f"divisor graph complement, middle divisors of {args.n}"
-    else:
-        edges = [e for e in dg.edges if e[0] in middle and e[1] in middle]
-        title = f"divisor graph, middle divisors of {args.n}"
+    prof = closedform.divisor_profile(args.n)
+    divs, incomparable = prof.divisors, set(prof.incomparable)
+    edges = [
+        (divs[i], divs[j])
+        for i, j in combinations(range(1, len(divs) - 1), 2)
+        if ((i, j) in incomparable) == args.complement
+    ]
+    complement = " complement" if args.complement else ""
+    title = f"divisor graph{complement}, middle divisors of {args.n}"
     if args.format == "json":
         payload = {
             "n": args.n,
             "complement": args.complement,
-            "vertices": list(dg.middle),
+            "vertices": list(prof.middle),
             "edges": [list(e) for e in sorted(edges)],
         }
         print(json.dumps(payload, ensure_ascii=False, separators=(", ", ": ")))
     else:
         lines = [f'graph "{title}" {{']
-        for d in dg.middle:
+        for d in prof.middle:
             lines.append(f"  {d};")
         for a, b in sorted(edges):
             lines.append(f"  {a} -- {b};")

@@ -3,8 +3,11 @@
 The cyclic formula reduces the n x n ones-plus-Laplacian determinant to a
 determinant indexed by the middle divisors of n (all divisors except n and 1),
 with the incomparability graph of those divisors supplying the off-diagonal
-pattern. One body serves the full and the identity-deleted graph: deleting
-the identity lowers every degree by one and drops the identity's factor.
+pattern. `divisor_profile` is the one description of that divisor lattice
+(divisors, totients, degrees, incomparable middle pairs), read by the
+determinant, the subset expansion and `divisor-graph`. One body serves the
+full and the identity-deleted graph: deleting the identity lowers every
+degree by one and drops the identity's factor.
 Everything is evaluated in exact integer or rational arithmetic. Each
 formula is a product of powers, written as (base, exponent) pairs with a
 negative exponent dividing; `TreeNumber.from_powers` evaluates it and keeps
@@ -30,71 +33,49 @@ from .errors import (
 )
 from .groups import FiniteGroup, GroupSpec
 from .numutil import divisors, factorize, is_prime, phi  # bench/child.py wraps factorize
-from .powergraph import degree_in_cyclic
 from .treecount import TreeNumber, exact_integer_determinant
 
 EXPANSION_LIMIT = 20
 
 
 class DivisorProfile(NamedTuple):
-    """Per-divisor data for the power graph of Z_n.
+    """The divisor lattice of n, which is the cyclic-subgroup poset of Z_n.
 
     divisors descend from n to 1. degrees[i] is the common degree of the
-    totients[i] = phi(divisors[i]) elements of that order.
+    totients[i] = phi(divisors[i]) elements of that order in P(Z_n).
+    incomparable holds the pairs (i, j), i < j, of middle positions (neither
+    0 nor the last) whose divisors do not divide each other.
     """
 
-    n: int
     divisors: tuple[int, ...]
     totients: tuple[int, ...]
     degrees: tuple[int, ...]
+    incomparable: tuple[tuple[int, int], ...]
 
     @property
     def middle(self) -> tuple[int, ...]:
         return self.divisors[1:-1]
 
 
-class DivisorGraph(NamedTuple):
-    """Divisibility graph on the divisors of n, plus its middle complement."""
-
-    n: int
-    vertices: tuple[int, ...]
-    edges: tuple[tuple[int, int], ...]
-    middle: tuple[int, ...]
-    complement_middle_edges: tuple[tuple[int, int], ...]
-
-
-def _comparable(a: int, b: int) -> bool:
-    return a % b == 0 or b % a == 0
-
-
 def divisor_profile(n: int) -> DivisorProfile:
+    """An element of order d is joined to the d - 1 others of its subgroup and
+    to the phi(e) generators of each subgroup of order e above it, d | e."""
     if n < 1:
         raise ValueError("divisor profile needs n >= 1")
     divs = tuple(sorted(divisors(n), reverse=True))
     tots = tuple(phi(d) for d in divs)
     if sum(tots) != n:
         raise DiscrepancyDetected(f"totients of divisors of {n} do not sum to {n}")
-    degs = tuple(degree_in_cyclic(n, n // d % n) for d in divs)
-    return DivisorProfile(n=n, divisors=divs, totients=tots, degrees=degs)
-
-
-def divisor_graph(n: int) -> DivisorGraph:
-    divs = tuple(sorted(divisors(n), reverse=True))
-    edges = tuple(
-        (divs[i], divs[j])
-        for i in range(len(divs))
-        for j in range(i + 1, len(divs))
-        if _comparable(divs[i], divs[j])
+    # descending, so only an earlier divisor can be a multiple of divs[i]
+    degs = tuple(
+        d - 1 + sum(t for e, t in zip(divs[:i], tots) if e % d == 0)
+        for i, d in enumerate(divs)
     )
-    middle = divs[1:-1] if len(divs) > 2 else ()
-    comp = tuple(
-        (middle[i], middle[j])
-        for i in range(len(middle))
-        for j in range(i + 1, len(middle))
-        if not _comparable(middle[i], middle[j])
+    k = len(divs)
+    incomparable = tuple(
+        (i, j) for i in range(1, k - 1) for j in range(i + 1, k - 1) if divs[i] % divs[j]
     )
-    return DivisorGraph(n=n, vertices=divs, edges=edges, middle=middle,
-                        complement_middle_edges=comp)
+    return DivisorProfile(divs, tots, degs, incomparable)
 
 
 def _middle_determinant(prof: DivisorProfile, diagonal: tuple[int, ...]) -> int:
@@ -103,15 +84,10 @@ def _middle_determinant(prof: DivisorProfile, diagonal: tuple[int, ...]) -> int:
     Row i of the rational middle matrix is scaled by totients[i], turning
     ratio diagonals into plain integers and adjacency ones into totients.
     """
-    divs = prof.divisors
-    mids = range(1, len(divs) - 1)
-    mat = [
-        [
-            diagonal[i] if i == j else (prof.totients[i] if not _comparable(divs[i], divs[j]) else 0)
-            for j in mids
-        ]
-        for i in mids
-    ]
+    mids = range(1, len(prof.divisors) - 1)
+    mat = [[diagonal[i] if i == j else 0 for j in mids] for i in mids]
+    for i, j in prof.incomparable:
+        mat[i - 1][j - 1], mat[j - 1][i - 1] = prof.totients[i], prof.totients[j]
     return exact_integer_determinant(mat)
 
 
@@ -148,7 +124,7 @@ def kappa_cyclic_expansion(n: int) -> TreeNumber:
     adjacency A off it. Expanding over the induced subgraphs S of A gives
     det = sum_S det A[S] * prod_{i not in S} r_i, up to those totients.
     """
-    middle = len(divisors(n)) - 2
+    middle = max(len(divisors(n)) - 2, 0)  # n = 1 has no middle divisors
     if middle > EXPANSION_LIMIT:
         raise TooManyDivisors(
             f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
@@ -156,18 +132,16 @@ def kappa_cyclic_expansion(n: int) -> TreeNumber:
     from fractions import Fraction  # imported here: it pulls in decimal
 
     prof = divisor_profile(n)
-    mids = prof.middle
     ratios = [
         Fraction(d + 1, t) for d, t in zip(prof.degrees[1:-1], prof.totients[1:-1])
     ]
+    adjacency = [[0] * middle for _ in range(middle)]
+    for i, j in prof.incomparable:
+        adjacency[i - 1][j - 1] = adjacency[j - 1][i - 1] = 1
     total = Fraction(0)
-    # n = 1 has no middle divisors, and then only the empty subset
-    for mask in range(1 << len(mids)):
-        inside = [i for i in range(len(mids)) if mask >> i & 1]
-        sub = [
-            [0 if a == b else int(not _comparable(mids[a], mids[b])) for b in inside]
-            for a in inside
-        ]
+    for mask in range(1 << middle):
+        inside = [i for i in range(middle) if mask >> i & 1]
+        sub = [[adjacency[a][b] for b in inside] for a in inside]
         det_a = exact_integer_determinant(sub)
         if det_a == 0:
             continue

@@ -188,14 +188,20 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
     return None
 
 
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask where the platform has
+    one, which `taskset` or a container can make smaller than the machine."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _lanes() -> int:
     """Curves to run side by side: one per usable core, or 1 where fork is missing or unsafe."""
     threading = sys.modules.get("threading")
     if not hasattr(os, "fork") or threading and threading.active_count() > 1:
         return 1  # a forked child of a threaded process can deadlock on a lock another thread held
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    return usable_cores()
 
 
 def _spawn(n: int, sigma: int):

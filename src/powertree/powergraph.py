@@ -18,11 +18,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from collections import Counter
-from math import gcd
 
-from .errors import OutOfRange, TooLarge, TrivialGroup
+from .errors import TooLarge, TrivialGroup
 from .groups import FiniteGroup, strict_inclusions
-from .numutil import divisors, phi
 from .treecount import _rows_connected
 
 # cyclic:2000 (1 777 660 edges) is written as JSON to a file in about 0.30 s at 17 MB peak RSS
@@ -117,23 +115,6 @@ def reduced_power_graph(g: FiniteGroup) -> PowerGraph:
     if g.order < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
     return PowerGraph(g, 1)
-
-
-def degree_in_cyclic(n: int, m: int) -> int:
-    """Degree of the m-th power of a generator in the power graph of Z_n.
-
-    Counts the n/gcd(m,n) - 1 other members of the generated subgroup plus,
-    for each proper divisor d of gcd(m,n), the phi(n/d) elements whose
-    subgroup strictly contains it.
-    """
-    if n < 1 or not 0 <= m < n:
-        raise OutOfRange(f"need n >= 1 and 0 <= m < n, got n={n}, m={m}")
-    g = gcd(m, n)
-    deg = n // g - 1
-    for d in divisors(g):
-        if d != g:
-            deg += phi(n // d)
-    return deg
 
 
 def is_complete(graph: PowerGraph) -> bool:

@@ -10,10 +10,11 @@ from powertree.classify import (
 )
 from powertree.closedform import kappa_cyclic
 from powertree.errors import OutOfRange
-from powertree.groups import build
+from powertree.groups import GroupSpec, build, count_cyclic_subgroups
+from powertree.numutil import factorize
 from powertree.powergraph import clique_number, power_graph
 from powertree.specparse import parse_group_spec
-from powertree.treecount import temperley_kappa
+from powertree.treecount import quotient_kappa, temperley_kappa
 
 
 def _build(text):
@@ -175,3 +176,50 @@ def test_kappa_one_iff_elementary_abelian_two():
     assert kappa_cyclic(1).value == 1
     for text in ["cyclic:3", "cyclic:4", "sym:3", "quaternion:2"]:
         assert _kappa(text) != 1
+
+
+def _psl2_spec(p):
+    """PSL(2,p) on the projective line: GF(p) as points 0..p-1, infinity as
+    point p, generated by x -> x + 1, x -> w^2 x and x -> -1/x, w primitive."""
+    w = next(w for w in range(2, p) if len({pow(w, k, p) for k in range(1, p)}) == p - 1)
+    inf = p
+    shift = tuple((x + 1) % p for x in range(p)) + (inf,)
+    scale = tuple(w * w * x % p for x in range(p)) + (inf,)
+    invert = (inf, *(-pow(x, -1, p) % p for x in range(1, p)), 0)
+    return GroupSpec("perm", (p + 1,), generators=(shift, scale, invert))
+
+
+def _psl32_spec():
+    """PSL(3,2) on the 7 points of the Fano plane, the nonzero vectors of
+    GF(2)^3, generated by the transvection E_12 and the cyclic permutation
+    matrix (their conjugates give every elementary transvection)."""
+    points = [(a, b, c) for a in (0, 1) for b in (0, 1) for c in (0, 1)][1:]
+    index = {v: i for i, v in enumerate(points)}
+    transvection = tuple(index[(a ^ b, b, c)] for a, b, c in points)
+    cycle = tuple(index[(c, a, b)] for a, b, c in points)
+    return GroupSpec("perm", (7,), generators=(transvection, cycle))
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19, 23])
+def test_psl2_p_bounds_and_the_a5_value(p):
+    spec = _psl2_spec(p)
+    assert parse_group_spec(spec.render()) == spec
+    g = build(spec)
+    assert g.order == p * (p * p - 1) // 2
+    kappa = quotient_kappa(g).value
+    assert (kappa == A5_KAPPA) == (p == 5)
+    if p == 5:
+        assert kappa == _kappa("alt:5")
+    assert sylow_lower_bound(g) <= kappa
+    primes = set(factorize(g.order))
+    assert primes <= prime_support_bound(kappa)
+    for q in primes:
+        assert count_cyclic_subgroups(g, q) >= q + 1, q
+
+
+def test_psl3_2_on_the_fano_plane_counts_as_psl2_7():
+    spec = _psl32_spec()
+    assert parse_group_spec(spec.render()) == spec
+    fano = build(spec)
+    assert fano.order == 168
+    assert quotient_kappa(fano) == quotient_kappa(build(_psl2_spec(7)))

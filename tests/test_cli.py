@@ -422,8 +422,9 @@ def test_cmd_verify_checks_cap_first(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_cmd_verify_caps_jobs(monkeypatch, capsys):
-    # the fake pool records its size and maps in this process: nothing forks
+def _record_pool_sizes(monkeypatch) -> list[int]:
+    """The sizes of the pools `verify` starts; the fake pool maps in this
+    process, so nothing forks."""
     sizes = []
 
     class RecordingPool:
@@ -440,16 +441,37 @@ def test_cmd_verify_caps_jobs(monkeypatch, capsys):
             return map(fn, values)
 
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    return sizes
+
+
+def test_cmd_verify_caps_jobs(monkeypatch, capsys):
+    sizes = _record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(cli, "usable_cores", lambda: 4)
     for max_n, jobs in ((2, 100000), (12, 100000), (12, 3), (3, 1)):
         assert main(["verify", "--max-n", str(max_n), "--jobs", str(jobs)]) == 0
     assert sizes == [2, 4, 3]  # one worker runs serially, without a pool
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    monkeypatch.setattr(cli, "usable_cores", lambda: 1)
     assert main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
     assert sizes == [2, 4, 3]
     for jobs in ("0", "-5"):
         assert main(["verify", "--max-n", "3", "--jobs", jobs]) == 2
         assert "--jobs" in capsys.readouterr().err
+
+
+def test_cmd_verify_jobs_count_the_affinity_mask(monkeypatch, capsys):
+    # pinned to one core of two, as under `taskset -c 0`
+    sizes = _record_pool_sizes(monkeypatch)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
+    assert sizes == []
+    # without an affinity call the machine's count stands, and no count means one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
+    assert sizes == [2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
+    assert sizes == [2]
 
 
 def test_cmd_verify_parallel(capsys):

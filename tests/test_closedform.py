@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
+from powertree.cli import main
 from powertree.closedform import (
     closed_form,
-    divisor_graph,
     divisor_profile,
     kappa_cyclic,
     kappa_cyclic_expansion,
@@ -37,7 +37,7 @@ def _build(text):
     return build(parse_group_spec(text))
 
 
-# --- divisor profile and graph -----------------------------------------------
+# --- divisor profile ---------------------------------------------------------
 
 
 def test_divisor_profile_12():
@@ -73,25 +73,26 @@ def test_divisor_profile_invariants():
 
 
 def test_divisor_graph_30():
-    dg = divisor_graph(30)
-    assert dg.middle == (15, 10, 6, 5, 3, 2)
-    assert len(dg.complement_middle_edges) == 9
+    prof = divisor_profile(30)
+    assert prof.middle == (15, 10, 6, 5, 3, 2)
+    assert len(prof.incomparable) == 9
 
 
 def test_divisor_graph_12():
-    dg = divisor_graph(12)
-    assert set(map(frozenset, dg.complement_middle_edges)) == {
+    prof = divisor_profile(12)
+    pairs = {frozenset({prof.divisors[i], prof.divisors[j]}) for i, j in prof.incomparable}
+    assert pairs == {
         frozenset({6, 4}),
         frozenset({4, 3}),
         frozenset({3, 2}),
     }
 
 
-def test_divisor_graph_chains_complete():
-    # comparable pairs along a divisor chain are all edges
-    dg = divisor_graph(8)
-    assert len(dg.edges) == 6  # K_4 on {8,4,2,1}
-    assert dg.complement_middle_edges == ()
+def test_divisor_graph_chains_complete(capsys):
+    # the middle divisors of a prime power form a chain: all comparable
+    assert divisor_profile(8).incomparable == ()
+    assert main(["divisor-graph", "8"]) == 0
+    assert "  4 -- 2;" in capsys.readouterr().out.splitlines()
 
 
 # --- cyclic closed forms -----------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 
 from powertree import powergraph
 from powertree.cli import main
-from powertree.errors import OutOfRange, TooLarge, TrivialGroup
+from powertree.closedform import divisor_profile
+from powertree.errors import TooLarge, TrivialGroup
 from powertree.groups import FiniteGroup, build, count_cyclic_subgroups
 from powertree.numutil import factorize
 from powertree.powergraph import (
     clique_number,
-    degree_in_cyclic,
     is_complete,
     power_graph,
     reduced_power_graph,
@@ -158,22 +158,13 @@ def test_reduced_power_graph_trivial_group():
         _graph("cyclic:1", reduced=True)
 
 
-def test_degree_formula_examples():
-    assert degree_in_cyclic(12, 2) == 9
-    assert degree_in_cyclic(12, 3) == 7
-    for n in (1, 2, 7, 12, 36):
-        assert degree_in_cyclic(n, 0) == n - 1
-    with pytest.raises(OutOfRange):
-        degree_in_cyclic(12, 12)
-    with pytest.raises(OutOfRange):
-        degree_in_cyclic(0, 0)
-
-
 def test_degree_formula_matches_graph_up_to_100():
     for n in range(1, 101):
+        prof = divisor_profile(n)
+        degree_of_order = dict(zip(prof.divisors, prof.degrees))
         graph = _graph(f"cyclic:{n}")
         for m in range(n):
-            assert degree_in_cyclic(n, m) == graph.degree(m), (n, m)
+            assert degree_of_order[n // gcd(m, n)] == graph.degree(m), (n, m)
 
 
 def test_equal_orders_equal_degrees():
@@ -418,6 +409,29 @@ def test_graph_output_matches_golden_hash(case, sha1, capsys):
     spec, fmt, reduced = case
     assert main(["graph", spec, "--format", fmt] + (["--reduced"] if reduced else [])) == 0
     assert hashlib.sha1(capsys.readouterr().out.encode()).hexdigest() == sha1
+
+
+# SHA-1 of the concatenated `divisor-graph N [--complement] --format FMT`
+# stdout over DIVISOR_GRAPH_NS, recorded before the command read the
+# divisor profile
+DIVISOR_GRAPH_NS = [*range(1, 401), 720, 840, 5040, 9240, 10000]
+GOLDEN_DIVISOR_GRAPH_SHA1 = [
+    ((False, "dot"), "dab4eff5ae46943a754f613c9c279f71c9304d7b"),
+    ((False, "json"), "6a4cc84be4c62938c51b462bf2c427ff73af0fa8"),
+    ((True, "dot"), "ed95c641bcb8c91a826c7cdd3cb1dfdfb8c039e9"),
+    ((True, "json"), "04fdff0c6ca98ec4125ef9bfd57c26d94ac199b1"),
+]
+
+
+@pytest.mark.parametrize("case, sha1", GOLDEN_DIVISOR_GRAPH_SHA1)
+def test_divisor_graph_output_matches_golden_hash(case, sha1, capsys):
+    complement, fmt = case
+    digest = hashlib.sha1()
+    for n in DIVISOR_GRAPH_NS:
+        argv = ["divisor-graph", str(n), "--format", fmt] + (["--complement"] if complement else [])
+        assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == sha1
 
 
 def test_emitters_check_the_edge_cap(monkeypatch):
