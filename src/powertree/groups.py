@@ -1,11 +1,11 @@
 """Finite group catalog: cyclic, dihedral, dicyclic, abelian and permutation groups.
 
-Every group is materialized on indices 0..order-1 with index 0 the identity.
-A group keeps one representation: its element list, the index of each element,
-and the multiplication oracle on elements. No Cayley table is built. The group
-also owns its partition into cyclic subgroups, found with one power walk per
-cyclic subgroup; the power graph and the tree counts read only that partition
-and its inclusions.
+Every group is materialized on indices 0..order-1 with index 0 the identity. A group
+keeps one representation: its element list, the index of each element, and the
+multiplication oracle on elements (no Cayley table). A permutation is the byte string
+of its images, at most 256 points, and two compose by one bytes.translate. The group
+also owns its partition into cyclic subgroups, found with one power walk per cyclic
+subgroup; the power graph and the tree counts read only that partition and its inclusions.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from .errors import InvalidSpec, NotPrime, UnsupportedOrder
 from .numutil import is_prime
 
 DEFAULT_MAX_ORDER = 10_000
-MAX_PERM_DEGREE = 8
+MAX_PERM_DEGREE = 8  # sym and alt
+MAX_PERM_POINTS = 256  # perm: a permutation is the byte string of its images
+_POINTS = bytes(range(MAX_PERM_POINTS))
+_POINT_NAMES = [str(j + 1) for j in range(MAX_PERM_POINTS)]
 
 def max_order() -> int:
     """Configured order cap (env KAPPA_MAX_ORDER, default 10000)."""
@@ -59,22 +62,22 @@ class GroupSpec(NamedTuple):
         return f"perm:{self.params[0]}:{gens}"
 
 
-def _cycle_notation(perm: tuple[int, ...]) -> str:
-    """Disjoint-cycle string, 1-based, fixed points omitted; identity is '()'."""
-    seen = [False] * len(perm)
-    cycles = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
+def _cycle_notation(perm) -> str:
+    """Disjoint cycles, 1-based, of an image tuple or byte string; identity is '()'."""
+    seen = 0  # bit j set once point j is written
+    text = ""
+    for start, image in enumerate(perm):
+        if image == start or seen >> start & 1:
             continue
-        cyc = []
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            cyc.append(j + 1)
+        cycle = "(" + _POINT_NAMES[start]
+        seen |= 1 << start
+        j = image
+        while j != start:
+            seen |= 1 << j
+            cycle += " " + _POINT_NAMES[j]
             j = perm[j]
-        cycles.append("(" + " ".join(map(str, cyc)) + ")")
-    return "".join(cycles) if cycles else "()"
+        text += cycle + ")"
+    return text or "()"
 
 
 class FiniteGroup:
@@ -106,8 +109,8 @@ class FiniteGroup:
         if self.order == 0:
             raise InvalidSpec("a group needs at least the identity element")
         self._label = label
-        self._elements = list(elements)
-        self._index = {e: i for i, e in enumerate(elements)}
+        self._elements = elements = list(elements)
+        self._index = index = {e: i for i, e in enumerate(elements)}
         self._mul_raw = mul
         for i in {1, self.order - 1, self.order // 2} & set(range(self.order)):
             if self.multiply(0, i) != i or self.multiply(i, 0) != i:
@@ -119,9 +122,11 @@ class FiniteGroup:
                 continue
             powers = [0]  # powers[k] = x^k
             y = x
+            e = power = elements[x]
             while y != 0:
                 powers.append(y)
-                y = self.multiply(y, x)
+                power = mul(power, e)
+                y = index[power]
             m = len(powers)
             # x^k generates <x> exactly when gcd(k, m) = 1 (k = 0 only for m = 1)
             for k in range(m):
@@ -221,30 +226,30 @@ def _elemabelian(p: int, k: int) -> FiniteGroup:
     return FiniteGroup(name, elements, mul, _tuple_repr)
 
 
-def _compose(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    """Apply a first, then b."""
-    return tuple(b[x] for x in a)
+def _compose(a: bytes, b: bytes) -> bytes:
+    """Apply a first, then b: one translate through b padded to 256 bytes."""
+    return a.translate(b + _POINTS[len(b):])
 
 
 def _perm_closure(degree, generators, name):
-    identity = tuple(range(degree))
+    pad = _POINTS[degree:]
+    tables = [bytes(g) + pad for g in generators]
+    identity = _POINTS[:degree]
     cap = max_order()
-    elements = [identity]
-    index = {identity: 0}
+    index = {identity: 0}  # in breadth-first order, generators in their order
     frontier = [identity]
     while frontier:
         nxt = []
         for e in frontier:
-            for g in generators:
-                h = _compose(e, g)
+            for t in tables:
+                h = e.translate(t)
                 if h not in index:
-                    index[h] = len(elements)
-                    elements.append(h)
+                    index[h] = len(index)
                     nxt.append(h)
-                    if len(elements) > cap:
+                    if len(index) > cap:
                         raise UnsupportedOrder(f"{name} exceeds the order cap {cap}")
         frontier = nxt
-    return FiniteGroup(name, elements, _compose, _cycle_notation)
+    return FiniteGroup(name, list(index), _compose, _cycle_notation)
 
 
 def _symmetric(m: int) -> FiniteGroup:
@@ -297,10 +302,9 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
 
 
 def _permutation(degree: int, generators) -> FiniteGroup:
-    if degree < 1:
-        raise InvalidSpec(f"permutation degree must be >= 1, got {degree}")
-    gen_str = ";".join(_cycle_notation(tuple(g)) for g in generators)
-    return _perm_closure(degree, [tuple(g) for g in generators], f"⟨{gen_str}⟩")
+    if not 1 <= degree <= MAX_PERM_POINTS:
+        raise InvalidSpec(f"permutation degree must be 1..{MAX_PERM_POINTS}, got {degree}")
+    return _perm_closure(degree, generators, f"⟨{';'.join(map(_cycle_notation, generators))}⟩")
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
@@ -350,6 +354,8 @@ def _row(spec: GroupSpec) -> Kind | None:
             or not all(isinstance(f, GroupSpec) for f in spec.factors)
             or not all(type(g) is tuple and all(type(x) is int for x in g) for g in spec.generators)):
         raise InvalidSpec(f"malformed {spec.kind} spec {spec!r}")
+    if spec.kind == "perm" and spec.params[0] > MAX_PERM_POINTS:  # before range(degree)
+        raise InvalidSpec(f"permutation degree must be 1..{MAX_PERM_POINTS}, got {spec.params[0]}")
     for g in spec.generators:  # else a short one renders as a longer one
         if sorted(g) != list(range(spec.params[0])):
             raise InvalidSpec(f"{g} is not a permutation of degree {spec.params[0]}")

@@ -3,15 +3,17 @@
     cyclic:N  dihedral:N  quaternion:N  elemabelian:P^K  sym:M  alt:M
     semidirect:P:Q  product:(SPEC)x(SPEC)  perm:D:CYCLES;CYCLES
 
-Integers are ASCII digits 0-9. Cycle notation is 1-based and
-whitespace-insensitive, e.g. "(1 2 3)(4 5)".
+Integers are ASCII digits 0-9, as many as int() converts; a perm degree is at
+most 256. Cycle notation is 1-based and whitespace-insensitive, e.g. "(1 2 3)(4 5)".
 GroupSpec.render() produces canonical text that parses back to an equal spec.
 """
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ParseError
-from .groups import KINDS, GroupSpec
+from .groups import KINDS, MAX_PERM_POINTS, GroupSpec
 
 _EXPECTED_KIND = "one of " + ", ".join([*KINDS, "product", "perm"])
 
@@ -56,7 +58,11 @@ class _Scanner:
             self.pos += 1
         if self.pos == start:
             raise ParseError(f"missing {what}", start, "an integer")
-        return int(self.text[start : self.pos])
+        try:
+            return int(self.text[start : self.pos])
+        except ValueError:  # more digits than the interpreter converts
+            limit = f"at most {sys.get_int_max_str_digits()} digits"
+            raise ParseError(f"{what} has {self.pos - start} digits", start, limit) from None
 
 
 def _cycles_to_perm(scanner: _Scanner, degree: int) -> tuple[int, ...]:
@@ -120,7 +126,11 @@ def _parse_spec(scanner: _Scanner) -> GroupSpec:
         scanner.expect(")")
         return GroupSpec(kind, factors=(left, right))
     # perm:D:CYCLES;CYCLES
+    scanner.skip_ws()
+    start = scanner.pos
     degree = scanner.read_int("degree")
+    if degree > MAX_PERM_POINTS:  # before a generator allocates range(degree)
+        raise ParseError(f"degree {degree} above {MAX_PERM_POINTS}", start)
     scanner.expect(":")
     generators = [_cycles_to_perm(scanner, degree)]
     while True:

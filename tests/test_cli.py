@@ -110,6 +110,15 @@ def test_parse_errors_carry_position(capsys):
         parse_group_spec("elemabelian:8")  # missing ^K
 
 
+def test_over_long_integer_is_a_parse_error(capsys):
+    limit = sys.get_int_max_str_digits()
+    for text, what, at in (("cyclic:" + "9" * 5000, "parameter", 7),
+                           ("perm:3:(1 " + "9" * 5000 + ")", "cycle entry", 10)):
+        assert main(["kappa", text]) == 2
+        err = f"error: {what} has 5000 digits at position {at} (expected at most {limit} digits)\n"
+        assert capsys.readouterr() == ("", err)
+
+
 def test_perm_group_builds_a5():
     from powertree.groups import build
 

@@ -1,10 +1,15 @@
 from collections import Counter
+from itertools import permutations
 
 import pytest
 
+from powertree.cli import main
 from powertree.errors import InvalidSpec, NotPrime, UnsupportedOrder
 from powertree.groups import (
     GroupSpec,
+    _compose,
+    _cycle_notation,
+    _permutation,
     build,
     count_cyclic_subgroups,
     direct_product,
@@ -251,11 +256,131 @@ def test_order_cap_env_override(monkeypatch):
     assert _build("cyclic:30").order == 30
 
 
-def test_perm_degree_cap():
+def test_perm_degree_cap(capsys):
     with pytest.raises(InvalidSpec):
         _build("sym:9")
     with pytest.raises(InvalidSpec):
         _build("alt:9")
+    # a perm degree above 256 is refused where it is read, before range(degree)
+    for text in ("perm:257:(1 2)", "perm:99999999999999999999:(1 2)"):
+        degree = text.split(":")[1]
+        assert main(["kappa", text]) == 2
+        assert capsys.readouterr() == ("", f"error: degree {degree} above 256 at position 5\n")
+    assert main(["kappa", "perm:256:(1 256)"]) == 0
+    assert capsys.readouterr() == ("1\n", "")
+    big = GroupSpec("perm", (300,), generators=(tuple(range(1, 300)) + (0,),))
+    for call in (lambda: build(big), big.render, lambda: _permutation(300, big.generators)):
+        with pytest.raises(InvalidSpec, match="degree must be 1..256, got 300"):
+            call()
+
+
+def _old_cycle_notation(perm):
+    """The list-and-join cycle writer that the bit-mask one replaced."""
+    seen = [False] * len(perm)
+    cycles = []
+    for start in range(len(perm)):
+        if seen[start] or perm[start] == start:
+            seen[start] = True
+            continue
+        cyc = []
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            cyc.append(j + 1)
+            j = perm[j]
+        cycles.append("(" + " ".join(map(str, cyc)) + ")")
+    return "".join(cycles) if cycles else "()"
+
+
+def tuple_closure(degree, generators):
+    """The image-tuple closure that byte strings replaced: breadth-first from
+    the identity, each element composed with the generators in their order."""
+    identity = tuple(range(degree))
+    elements, seen, frontier = [identity], {identity}, [identity]
+    while frontier:
+        nxt = []
+        for e in frontier:
+            for g in generators:
+                h = tuple(g[x] for x in e)
+                if h not in seen:
+                    seen.add(h)
+                    elements.append(h)
+                    nxt.append(h)
+        frontier = nxt
+    return elements
+
+
+def assert_same_closure(spec: GroupSpec, generators=None):
+    """build(spec) lists the permutations of the tuple closure at the same indices."""
+    g = build(spec)
+    reference = tuple_closure(spec.params[0], spec.generators if generators is None else generators)
+    assert [tuple(e) for e in g._elements] == reference
+    assert [g.element_repr(i) for i in range(g.order)] == list(map(_old_cycle_notation, reference))
+
+
+def _cycle(points, m):
+    """Image tuple of the cycle through the 0-based points, on m points."""
+    images = list(range(m))
+    for a, b in zip(points, points[1:] + points[:1]):
+        images[a] = b
+    return tuple(images)
+
+
+@pytest.mark.parametrize("m", range(1, 8))
+def test_symmetric_closure_matches_tuple_reference(m):
+    gens = []  # a transposition and an m-cycle, as _symmetric picks them
+    if m >= 2:
+        gens.append(_cycle([0, 1], m))
+    if m >= 3:
+        gens.append(_cycle(list(range(m)), m))
+    assert_same_closure(GroupSpec("sym", (m,)), gens)
+
+
+@pytest.mark.parametrize("m", range(3, 8))
+def test_alternating_closure_matches_tuple_reference(m):
+    # a 3-cycle and an even cycle, as _alternating picks them
+    rest = list(range(m)) if m % 2 else list(range(1, m))
+    gens = [_cycle([0, 1, 2], m), _cycle(rest, m)]
+    assert_same_closure(GroupSpec("alt", (m,)), gens)
+
+
+# every perm text in tests/, M11 on 11 points and the largest degree
+PERM_TEXTS = [
+    "perm:5:(1 2 3 4 5);(1 2 3)",
+    "perm:6:(1 2 3);(4 5 6);(2 3)(5 6)",
+    "perm:4:(1 2)(3 4)",
+    "perm:6:(1 2 3);(4 5 6)",
+    "perm:4:(1 2);(3 4)",
+    "perm:3:(1 2)",
+    "perm:11:(1 2 3 4 5 6 7 8 9 10 11);(3 7 11 8)(4 10 5 6)",
+    "perm:256:(1 256)",
+]
+
+
+@pytest.mark.parametrize("text", PERM_TEXTS)
+def test_perm_closure_matches_tuple_reference(text):
+    assert_same_closure(parse_group_spec(text))
+
+
+def test_psl_closures_match_tuple_reference():
+    from test_classify import _psl2_spec, _psl32_spec
+
+    for spec in [_psl2_spec(p) for p in (5, 7, 11, 13, 17, 19, 23)] + [_psl32_spec()]:
+        assert_same_closure(spec)
+
+
+def test_compose_applies_the_first_then_the_second_on_s4():
+    s4 = list(permutations(range(4)))
+    for a in s4:
+        for b in s4:
+            ab = _compose(bytes(a), bytes(b))
+            assert len(ab) == 4 and all(ab[i] == b[a[i]] for i in range(4))
+
+
+def test_cycle_notation_matches_the_old_writer_on_s7():
+    for perm in permutations(range(7)):
+        old = _old_cycle_notation(perm)
+        assert _cycle_notation(perm) == old == _cycle_notation(bytes(perm))
 
 
 def test_oracle_multiplication_sym7():

@@ -8,7 +8,7 @@ rather than an exception escaping `main`.
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_groups import _check_cyclic_partition
+from test_groups import _check_cyclic_partition, assert_same_closure
 from test_powergraph import _check_matches_pairwise_rule, _check_renders_like_per_edge, _pairwise_rows
 
 from powertree.cli import main
@@ -66,3 +66,9 @@ def test_cli_kappa_all_methods_returns_exit_code(spec, reduced):
     # the trivial group has no reduced graph (usage error); otherwise all
     # routes agree
     assert main(argv) == (2 if reduced and build(spec).order < 2 else 0)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(perm_specs())
+def test_closure_matches_tuple_reference_on_random_perm_groups(spec):
+    assert_same_closure(spec)
