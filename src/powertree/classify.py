@@ -90,7 +90,7 @@ def sylow_lower_bound(g: FiniteGroup) -> int:
     """prod of m^(m-2) over the maximal p-element orders m, one per prime."""
     bound = 1
     for p in factorize(g.order):
-        m = max(o for o in g.element_order if p_part(o, p) == o)
+        m = max(o for o in g.poset.orders if p_part(o, p) == o)
         bound *= m ** (m - 2)
     return bound
 
@@ -113,7 +113,7 @@ def is_star_kappa_one(g: FiniteGroup) -> tuple[bool, bool, bool]:
     The three predicates are computed independently; they agree for every
     group. Groups of order at most 2 satisfy all three trivially.
     """
-    elementary_abelian_2 = all(o == 2 for o in g.element_order[1:])
+    elementary_abelian_2 = all(o == 2 for o in g.poset.orders[1:])
     graph = power_graph(g)
     n = graph.vertex_count
     star = graph.edge_count() == n - 1 and max(map(graph.degree, range(n))) == n - 1

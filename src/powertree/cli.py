@@ -57,7 +57,7 @@ def _count(spec: GroupSpec, g: FiniteGroup, method: str, reduced: bool) -> TreeN
     if method == "closed-form":
         return closedform.closed_form(spec, g, reduced)
     if method == "quotient":
-        return quotient_kappa(g, reduced)
+        return quotient_kappa(g.poset, reduced)
     graph = reduced_power_graph(g) if reduced else power_graph(g)
     if method == "matrix-tree":
         return temperley_kappa(graph)

@@ -217,8 +217,8 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
 
 def epo_powers(g: FiniteGroup) -> list[tuple[int, int]]:
     """(m, (m - 2) c_m) for each order m > 1 of a cyclic subgroup, c_m of them,
-    in the order of g.cyclic_subgroups; on an EPO group every m is prime."""
-    counts = Counter(len(c) for c in g.cyclic_subgroups[1:])
+    in the order of g.poset; on an EPO group every m is prime."""
+    counts = Counter(g.poset.orders[1:])
     return [(m, (m - 2) * c) for m, c in counts.items()]
 
 

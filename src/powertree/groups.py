@@ -4,8 +4,9 @@ Every group is materialized on indices 0..order-1 with index 0 the identity. A g
 keeps one representation: its element list, the index of each element, and the
 multiplication oracle on elements (no Cayley table). A permutation is the byte string
 of its images, at most 256 points, and two compose by one bytes.translate. The group
-also owns its partition into cyclic subgroups, found with one power walk per cyclic
-subgroup; the power graph and the tree counts read only that partition and its inclusions.
+also owns its poset of cyclic subgroups as one record, a CyclicPoset, filled by one
+power walk per cyclic subgroup; the power graph and the tree counts read only that
+record and each element's class in it.
 """
 
 from __future__ import annotations
@@ -80,42 +81,43 @@ def _cycle_notation(perm) -> str:
     return text or "()"
 
 
+class CyclicPoset(NamedTuple):
+    """The cyclic subgroups of a group, indexed by class, the identity's {0} at 0.
+
+    orders[c] is |C|, sizes[c] = phi(|C|) counts C's generators, and below[c]
+    lists each class strictly inside C once, the identity's class 0 first.
+    """
+
+    orders: tuple[int, ...]
+    sizes: tuple[int, ...]
+    below: tuple[tuple[int, ...], ...]
+
+
 class FiniteGroup:
     """Immutable finite group with elements indexed 0..order-1, 0 = identity.
 
-    cyclic_subgroups lists each cyclic subgroup once as an index set, the
-    identity's {0} first; cyclic_class[i] is the position in that list of
-    <i>, and cyclic_closure[i] is that same frozenset object. Elements of one
-    class are the phi(|C|) generators of C. element_order[i] is |<i>|.
+    cyclic_class[i] is the class of <i> in `poset`, the one record of the
+    cyclic subgroups; classes are numbered in order of their first element,
+    and the elements of one class are the generators of its subgroup.
     element_repr(i) is element i's text, made by `label` only when asked.
+    `index`, when given, is the element-to-index dict of `elements`.
     """
 
-    __slots__ = (
-        "name",
-        "order",
-        "element_order",
-        "cyclic_closure",
-        "cyclic_subgroups",
-        "cyclic_class",
-        "_elements",
-        "_index",
-        "_mul_raw",
-        "_label",
-    )
+    __slots__ = ("name", "order", "poset", "cyclic_class", "_elements", "_index", "_mul_raw", "_label")
 
-    def __init__(self, name, elements, mul, label):
+    def __init__(self, name, elements, mul, label, index=None):
         self.name = name
         self.order = len(elements)
         if self.order == 0:
             raise InvalidSpec("a group needs at least the identity element")
         self._label = label
         self._elements = elements = list(elements)
-        self._index = index = {e: i for i, e in enumerate(elements)}
+        self._index = index = index or {e: i for i, e in enumerate(elements)}
         self._mul_raw = mul
         for i in {1, self.order - 1, self.order // 2} & set(range(self.order)):
             if self.multiply(0, i) != i or self.multiply(i, 0) != i:
                 raise InvalidSpec(f"element 0 of {name} is not the identity")
-        subgroups: list[frozenset[int]] = []
+        orders, sizes, below = [], [], []
         cls = [-1] * self.order
         for x in range(self.order):
             if cls[x] != -1:
@@ -128,15 +130,31 @@ class FiniteGroup:
                 power = mul(power, e)
                 y = index[power]
             m = len(powers)
-            # x^k generates <x> exactly when gcd(k, m) = 1 (k = 0 only for m = 1)
+            c, k_c, inside = len(orders), 0, []
             for k in range(m):
-                if gcd(k, m) == 1:
-                    cls[powers[k]] = len(subgroups)
-            subgroups.append(frozenset(powers))
-        self.cyclic_subgroups = subgroups
+                d = gcd(k, m)
+                if d == 1:  # x^k generates <x> (k = 0 only for m = 1)
+                    cls[powers[k]] = c
+                    k_c += 1
+                elif d == k or d == m:  # k | m or k = 0: <x^k> is <x>'s one subgroup of order m / d
+                    inside.append(powers[k])
+            orders.append(m)
+            sizes.append(k_c)
+            below.append(inside)
         self.cyclic_class = cls
-        self.cyclic_closure = [subgroups[c] for c in cls]
-        self.element_order = [len(c) for c in self.cyclic_closure]
+        # the elements of `below` to their classes, now that all are known
+        below = tuple(tuple(map(cls.__getitem__, inside)) for inside in below)
+        self.poset = CyclicPoset(tuple(orders), tuple(sizes), below)
+
+    @property
+    def cyclic_closure(self) -> list[frozenset[int]]:
+        """<i> as an index set for every element i, built from the record when read."""
+        generators = [[] for _ in self.poset.below]
+        for x, c in enumerate(self.cyclic_class):
+            generators[c].append(x)
+        members = [frozenset(generators[c]).union(*(generators[b] for b in below))
+                   for c, below in enumerate(self.poset.below)]
+        return [members[c] for c in self.cyclic_class]
 
     def multiply(self, a: int, b: int) -> int:
         return self._index[self._mul_raw(self._elements[a], self._elements[b])]
@@ -146,14 +164,6 @@ class FiniteGroup:
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
-
-
-def strict_inclusions(g: FiniteGroup):
-    """Yield (c, d) for every pair of cyclic subgroups C < D of g, as class
-    indices, grouped by D; every C inside D is <x> for some x in D."""
-    cls = g.cyclic_class
-    return ((c, d) for d, members in enumerate(g.cyclic_subgroups)
-            for c in {cls[x] for x in members} - {d})
 
 
 def _check_cap(order: int, what: str) -> None:
@@ -249,7 +259,7 @@ def _perm_closure(degree, generators, name):
                     if len(index) > cap:
                         raise UnsupportedOrder(f"{name} exceeds the order cap {cap}")
         frontier = nxt
-    return FiniteGroup(name, list(index), _compose, _cycle_notation)
+    return FiniteGroup(name, list(index), _compose, _cycle_notation, index)
 
 
 def _symmetric(m: int) -> FiniteGroup:
@@ -375,7 +385,7 @@ def build(spec: GroupSpec) -> FiniteGroup:
 
 def spectrum(g: FiniteGroup) -> tuple[set[int], set[int]]:
     """Element-order set and its divisibility-maximal members."""
-    omega = set(g.element_order)
+    omega = set(g.poset.orders)
     mu = {
         a
         for a in omega
@@ -388,4 +398,4 @@ def count_cyclic_subgroups(g: FiniteGroup, p: int) -> int:
     """Number of distinct cyclic subgroups of prime order p."""
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return sum(1 for c in g.cyclic_subgroups if len(c) == p)
+    return g.poset.orders.count(p)

@@ -4,7 +4,8 @@
     semidirect:P:Q  product:(SPEC)x(SPEC)  perm:D:CYCLES;CYCLES
 
 Integers are ASCII digits 0-9, as many as int() converts; a perm degree is at
-most 256. Cycle notation is 1-based and whitespace-insensitive, e.g. "(1 2 3)(4 5)".
+most 256, and products nest at most MAX_PRODUCT_DEPTH deep. Cycle notation is
+1-based and whitespace-insensitive, e.g. "(1 2 3)(4 5)".
 GroupSpec.render() produces canonical text that parses back to an equal spec.
 """
 
@@ -16,6 +17,7 @@ from .errors import ParseError
 from .groups import KINDS, MAX_PERM_POINTS, GroupSpec
 
 _EXPECTED_KIND = "one of " + ", ".join([*KINDS, "product", "perm"])
+MAX_PRODUCT_DEPTH = 100  # parse, build and render recurse once per level
 
 
 class _Scanner:
@@ -102,7 +104,7 @@ def _cycles_to_perm(scanner: _Scanner, degree: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def _parse_spec(scanner: _Scanner) -> GroupSpec:
+def _parse_spec(scanner: _Scanner, depth: int = 0) -> GroupSpec:
     kind = scanner.read_ident()
     if kind not in KINDS and kind not in ("product", "perm"):
         raise ParseError(
@@ -117,12 +119,14 @@ def _parse_spec(scanner: _Scanner) -> GroupSpec:
             params.append(scanner.read_int(name))
         return GroupSpec(kind, tuple(params))
     if kind == "product":
+        if depth == MAX_PRODUCT_DEPTH:
+            raise ParseError(f"product nested more than {MAX_PRODUCT_DEPTH} deep", scanner.pos)
         scanner.expect("(")
-        left = _parse_spec(scanner)
+        left = _parse_spec(scanner, depth + 1)
         scanner.expect(")")
         scanner.expect("x")
         scanner.expect("(")
-        right = _parse_spec(scanner)
+        right = _parse_spec(scanner, depth + 1)
         scanner.expect(")")
         return GroupSpec(kind, factors=(left, right))
     # perm:D:CYCLES;CYCLES

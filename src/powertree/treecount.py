@@ -18,7 +18,6 @@ from __future__ import annotations
 from math import gcd, prod
 
 from .errors import DiscrepancyDetected, TooLarge, TrivialGroup
-from .groups import strict_inclusions
 from .numutil import format_decimal, format_factored, try_factorize
 
 FACTOR_VALUE_LIMIT = 10**150
@@ -329,13 +328,15 @@ def _root_deleted_determinant(adj: list[dict], kept) -> int:
     return det_n
 
 
-def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
-    """Tree count of the (reduced) power graph of `group` from its cyclic subgroups.
+def quotient_kappa(poset, reduced: bool = False) -> TreeNumber:
+    """Tree count of the (reduced) power graph of a group from its CyclicPoset
+    `poset`: per cyclic subgroup C its order, its k_C = phi(|C|) generators
+    and the subgroups strictly inside it, the identity's class first.
 
-    The k_C = phi(|C|) generators of a cyclic subgroup C are closed twins of
-    a common degree d_C. Each class adds the Laplacian eigenvalue d_C + 1
-    k_C - 1 times and collapses to one vertex of the comparability graph of
-    cyclic subgroups, edge C-D carrying multiplicity k_C * k_D, so
+    The k_C generators of C are closed twins of a common degree d_C. Each
+    class adds the Laplacian eigenvalue d_C + 1 k_C - 1 times and collapses
+    to one vertex of the comparability graph of cyclic subgroups, edge C-D
+    carrying multiplicity k_C * k_D, so
 
         kappa = prod_C (d_C + 1)^(k_C - 1) * tau_W / prod_C k_C
 
@@ -349,29 +350,26 @@ def quotient_kappa(group, reduced: bool = False) -> TreeNumber:
     removes leaves, stars and series chains without fill. The matrix is
     positive semidefinite, and so is each Schur complement at a positive
     pivot, so a zero pivot has a zero row: a component of Γ - r has no
-    edge to r, Γ is disconnected, and the count is 0. Only
-    `group.cyclic_subgroups` and `group.cyclic_class` are read, with their
-    inclusions; no power graph is built.
+    edge to r, Γ is disconnected, and the count is 0. Only the record is
+    read; no group or power graph is needed.
     """
-    if reduced and group.order < 2:
+    orders, sizes, below = poset
+    if reduced and len(orders) < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
-    subgroups = group.cyclic_subgroups
-    sizes = [0] * len(subgroups)
-    for c in group.cyclic_class:
-        sizes[c] += 1
     drop = 1 if reduced else 0
     # Laplacian off-diagonal entries -k_C * k_D of the quotient
     adj: list[dict] = [{} for _ in sizes]
     # generators of strictly larger cyclic subgroups, per class
     up = [0] * len(sizes)
-    for c, d in strict_inclusions(group):
-        up[c] += sizes[d]
-        if c >= drop:
-            adj[c][d] = adj[d][c] = -sizes[c] * sizes[d]
+    for d, inside in enumerate(below):
+        for c in inside:
+            up[c] += sizes[d]
+            if c >= drop:
+                adj[c][d] = adj[d][c] = -sizes[c] * sizes[d]
     kept = range(drop, len(sizes))
     # d_C + 1 = |C| + (generators above C), less the identity when reduced
     num = _root_deleted_determinant(adj, kept) * prod(
-        (len(subgroups[c]) - drop + up[c]) ** (sizes[c] - 1) for c in kept
+        (orders[c] - drop + up[c]) ** (sizes[c] - 1) for c in kept
     )
     value, rem = divmod(num, prod(sizes[c] for c in kept))
     if rem:

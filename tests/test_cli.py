@@ -12,7 +12,7 @@ from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import KINDS, GroupSpec, build
 from powertree.numutil import format_decimal, is_prime, parse_factored
-from powertree.specparse import parse_group_spec
+from powertree.specparse import MAX_PRODUCT_DEPTH, parse_group_spec
 from powertree.treecount import quotient_kappa
 from test_powergraph import LABEL_SPECS, ORACLE_SPECS
 from treeoracles import RESIDUE_PRIMES, residue_kappa
@@ -119,6 +119,30 @@ def test_over_long_integer_is_a_parse_error(capsys):
         assert capsys.readouterr() == ("", err)
 
 
+def _nested_product(depth):
+    text = "cyclic:1"
+    for _ in range(depth):
+        text = f"product:({text})x(cyclic:1)"
+    return text
+
+
+def test_deep_product_nesting_is_a_parse_error(capsys):
+    """Past MAX_PRODUCT_DEPTH a spec is refused before parse, build or
+    render could recurse near the interpreter's limit."""
+    deep = _nested_product(1000)
+    at = len("product:(") * MAX_PRODUCT_DEPTH + len("product:")  # where one more "(" opens
+    for command in ("kappa", "graph"):
+        assert main([command, deep]) == 2
+        err = f"error: product nested more than {MAX_PRODUCT_DEPTH} deep at position {at}\n"
+        assert capsys.readouterr() == ("", err)
+    with pytest.raises(ParseError):
+        parse_group_spec(_nested_product(MAX_PRODUCT_DEPTH + 1))
+    limit = _nested_product(MAX_PRODUCT_DEPTH)
+    assert parse_group_spec(limit).render() == limit
+    assert main(["kappa", limit]) == 0
+    assert capsys.readouterr().out == "1\n"
+
+
 def test_perm_group_builds_a5():
     from powertree.groups import build
 
@@ -205,7 +229,7 @@ def test_cmd_kappa_closed_form_factors_middle_determinant(capsys):
     assert main(argv) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["method"] == "closed-form"
-    expected = quotient_kappa(build(GroupSpec("cyclic", (420,))), reduced=True)
+    expected = quotient_kappa(build(GroupSpec("cyclic", (420,))).poset, reduced=True)
     assert int(payload["kappa"]) == expected.value
     factored = payload["factorization"]
     assert all(is_prime(int(part.split("^")[0])) for part in factored.split("*"))
@@ -315,7 +339,7 @@ def test_cmd_kappa_beyond_int_str_digit_limit(capsys):
     # kappa(Z_1500) has more decimal digits than str() renders by default
     assert main(["kappa", "cyclic:1500", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    expected = quotient_kappa(build(GroupSpec("cyclic", (1500,)))).value
+    expected = quotient_kappa(build(GroupSpec("cyclic", (1500,))).poset).value
     assert len(payload["kappa"]) > sys.get_int_max_str_digits() > 0
     assert payload["kappa"] == format_decimal(expected)
 

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 from itertools import permutations
 
@@ -43,8 +44,13 @@ def _build(text):
     return build(parse_group_spec(text))
 
 
+def element_orders(g):
+    """|<i>| for every element i, read from the poset record."""
+    return [g.poset.orders[c] for c in g.cyclic_class]
+
+
 def order_profile(g):
-    return Counter(g.element_order)
+    return Counter(element_orders(g))
 
 
 def _has_inverse(g, a):
@@ -71,11 +77,11 @@ def test_group_axioms_exhaustive(spec):
 @pytest.mark.parametrize("spec", AXIOM_SPECS)
 def test_lagrange_and_closures(spec):
     g = _build(spec)
-    for i in range(g.order):
-        closure = g.cyclic_closure[i]
+    orders = element_orders(g)
+    for i, closure in enumerate(g.cyclic_closure):
         assert 0 in closure
-        assert g.element_order[i] == len(closure)
-        assert g.order % g.element_order[i] == 0
+        assert orders[i] == len(closure)
+        assert g.order % orders[i] == 0
 
 
 def _closures_by_multiply(g):
@@ -91,19 +97,25 @@ def _closures_by_multiply(g):
 
 
 def _check_cyclic_partition(g):
-    """cyclic_subgroups/cyclic_class against per-element closures."""
+    """cyclic_class, the poset record and the cyclic_closure view against
+    per-element closures found by multiplying."""
     closures = _closures_by_multiply(g)
-    subgroups, cls = g.cyclic_subgroups, g.cyclic_class
+    subgroups = list(dict.fromkeys(closures))  # in order of first element
+    cls, (orders, sizes, below) = g.cyclic_class, g.poset
     assert subgroups[0] == {0}
-    assert len(set(subgroups)) == len(subgroups)
+    assert len(orders) == len(sizes) == len(below) == len(subgroups)
+    assert g.cyclic_closure == closures
     for x in range(g.order):
         assert subgroups[cls[x]] == closures[x]
-        assert subgroups[cls[x]] is g.cyclic_closure[x]
         for y in range(g.order):
             assert (cls[x] == cls[y]) == (closures[x] == closures[y])
     members = Counter(cls)
     for c, subgroup in enumerate(subgroups):
-        assert members[c] == phi(len(subgroup))
+        assert orders[c] == len(subgroup)
+        assert sizes[c] == members[c] == phi(len(subgroup))
+        assert len(set(below[c])) == len(below[c])
+        assert set(below[c]) == {b for b, inner in enumerate(subgroups) if inner < subgroup}
+        assert below[c][:1] == ((0,) if c else ())
 
 
 PARTITION_SPECS = [f"cyclic:{n}" for n in range(1, 61)] + [
@@ -137,7 +149,7 @@ def test_cyclic_element_counts_are_totients():
 def test_quaternion_q8_unique_involution():
     g = _build("quaternion:2")
     assert g.order == 8
-    assert sum(1 for o in g.element_order if o == 2) == 1
+    assert element_orders(g).count(2) == 1
 
 
 def test_quaternion_pow2_common_involution():
@@ -145,9 +157,9 @@ def test_quaternion_pow2_common_involution():
     for n in (1, 2, 4, 8):
         g = _build(f"quaternion:{n}")
         central = n  # element x^n has index n in the rotation block
-        assert g.element_order[central] == 2 or g.order == 4
-        for i in range(1, g.order):
-            assert central in g.cyclic_closure[i]
+        assert element_orders(g)[central] == 2 or g.order == 4
+        for closure in g.cyclic_closure[1:]:
+            assert central in closure
 
 
 def test_alternating_5_order_counts():
@@ -170,10 +182,7 @@ def test_dihedral_reflections_are_involutions():
     for n in range(1, 16):
         g = _build(f"dihedral:{n}")
         assert g.order == 2 * n
-        reflections = list(range(n, 2 * n))
-        assert len(reflections) == n
-        for i in reflections:
-            assert g.element_order[i] == 2
+        assert element_orders(g)[n:] == [2] * n
 
 
 def test_degenerate_dihedrals_overlap_abelian_groups():
@@ -206,9 +215,9 @@ def test_direct_product_orders():
     g = direct_product(z3, z2)
     assert order_profile(g) == order_profile(_build("cyclic:6"))
     v4 = direct_product(z2, z2)
-    assert all(o == 2 for o in v4.element_order[1:])
+    assert all(o == 2 for o in element_orders(v4)[1:])
     g42 = direct_product(_build("cyclic:4"), z2)
-    assert sorted(g42.element_order) == [1, 2, 2, 2, 4, 4, 4, 4]
+    assert sorted(element_orders(g42)) == [1, 2, 2, 2, 4, 4, 4, 4]
 
 
 def test_direct_product_element_order_is_lcm():
@@ -218,12 +227,10 @@ def test_direct_product_element_order_is_lcm():
     b = _build("sym:3")
     g = direct_product(a, b)
     assert g.order == 36
+    orders, a_orders, b_orders = element_orders(g), element_orders(a), element_orders(b)
     for i in range(a.order):
         for j in range(b.order):
-            idx = i * b.order + j
-            assert g.element_order[idx] == lcm(
-                a.element_order[i], b.element_order[j]
-            )
+            assert orders[i * b.order + j] == lcm(a_orders[i], b_orders[j])
 
 
 def test_spectrum():
@@ -231,6 +238,22 @@ def test_spectrum():
     assert spectrum(_build("cyclic:12")) == ({1, 2, 3, 4, 6, 12}, {12})
     omega, _ = spectrum(_build("alt:5"))
     assert omega == {1, 2, 3, 5}
+
+
+@pytest.mark.parametrize("text, limit", [("sym:7", 1_200_000), ("dihedral:5000", 3_000_000)])
+def test_built_group_keeps_no_member_sets(text, limit):
+    """A group keeps its poset record and each element's class, not one
+    member set per cyclic subgroup (which retained 1.9 MB for sym:7 and
+    4.2 MB for dihedral:5000; the record, 0.8 and 2.0 MB)."""
+    spec = parse_group_spec(text)
+    tracemalloc.start()
+    try:
+        g = build(spec)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert g.order in (5040, 10000)
+    assert retained <= limit, (text, retained)
 
 
 def test_count_cyclic_subgroups():
@@ -386,8 +409,8 @@ def test_cycle_notation_matches_the_old_writer_on_s7():
 def test_oracle_multiplication_sym7():
     g = _build("sym:7")
     assert g.order == 5040
-    assert max(g.element_order) == 12  # lcm(3, 4) from a 3-cycle times a 4-cycle
-    assert sorted(set(g.element_order)) == [1, 2, 3, 4, 5, 6, 7, 10, 12]
+    assert max(g.poset.orders) == 12  # lcm(3, 4) from a 3-cycle times a 4-cycle
+    assert sorted(set(g.poset.orders)) == [1, 2, 3, 4, 5, 6, 7, 10, 12]
     for a in (0, 7, 919, 5039):
         assert g.multiply(a, 0) == a
         assert _has_inverse(g, a)
@@ -486,5 +509,5 @@ def test_build_m_is_dicyclic_of_order_12():
     # unique involution, matching the dicyclic group and neither A_4 nor D_12
     g = _build("quaternion:3")
     assert g.order == 12
-    assert sum(1 for o in g.element_order if o == 2) == 1
+    assert element_orders(g).count(2) == 1
     assert order_profile(g) == Counter({1: 1, 2: 1, 3: 2, 4: 6, 6: 2})

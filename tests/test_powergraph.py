@@ -173,7 +173,7 @@ def test_equal_orders_equal_degrees():
         graph = power_graph(g)
         by_order = {}
         for v in range(n):
-            by_order.setdefault(g.element_order[v], set()).add(graph.degree(v))
+            by_order.setdefault(g.poset.orders[g.cyclic_class[v]], set()).add(graph.degree(v))
         assert all(len(degs) == 1 for degs in by_order.values())
 
 
@@ -206,7 +206,7 @@ def test_epo_reduced_graph_is_clique_union():
         reduced = reduced_power_graph(g)
         comps = _components(reduced)
         expected = Counter()
-        for p in sorted({o for o in g.element_order if o != 1}):
+        for p in sorted(set(g.poset.orders[1:])):
             expected[p - 1] += count_cyclic_subgroups(g, p)
         assert Counter(len(c) for c in comps) == expected
         for comp in comps:
@@ -457,18 +457,18 @@ def test_labels_are_made_only_when_printed(text, monkeypatch):
     made = Counter()  # label calls per group name
     init = FiniteGroup.__init__
 
-    def counting_init(self, name, elements, mul, label):
+    def counting_init(self, name, elements, mul, label, index=None):
         def counted(e):
             made[name] += 1
             return label(e)
 
-        init(self, name, elements, mul, counted)
+        init(self, name, elements, mul, counted, index)
 
     monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
     g = build(parse_group_spec(text))
     graph = power_graph(g)
     temperley_kappa(graph)
-    quotient_kappa(g)
+    quotient_kappa(g.poset)
     reduced = reduced_power_graph(g)
     assert not made
     to_json(graph)

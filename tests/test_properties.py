@@ -28,9 +28,9 @@ def perm_specs(draw):
 @given(perm_specs())
 def test_quotient_matches_determinant_on_random_perm_groups(spec):
     g = build(spec)
-    assert quotient_kappa(g) == temperley_kappa(power_graph(g))
+    assert quotient_kappa(g.poset) == temperley_kappa(power_graph(g))
     if g.order >= 2:
-        assert quotient_kappa(g, reduced=True) == temperley_kappa(reduced_power_graph(g))
+        assert quotient_kappa(g.poset, reduced=True) == temperley_kappa(reduced_power_graph(g))
 
 
 @settings(max_examples=50, deadline=None, database=None)

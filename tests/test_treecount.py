@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 from math import prod
 
@@ -23,9 +24,11 @@ from powertree.treecount import (
 )
 
 from randgraphs import random_connected_multigraph
+from test_groups import _closures_by_multiply
 from treeoracles import (
     RESIDUE_PRIMES,
     contracted,
+    cyclic_poset,
     deletion_contraction_kappa,
     enumerate_spanning_trees,
     residue_kappa,
@@ -338,10 +341,10 @@ def test_block_decomposition_a6_fast_route():
 
 def _assert_quotient_matches_determinant(text):
     g = build(parse_group_spec(text))
-    assert quotient_kappa(g).value == temperley_kappa(power_graph(g)).value, text
+    assert quotient_kappa(g.poset).value == temperley_kappa(power_graph(g)).value, text
     if g.order >= 2:
         reduced = temperley_kappa(reduced_power_graph(g)).value
-        assert quotient_kappa(g, reduced=True).value == reduced, text
+        assert quotient_kappa(g.poset, reduced=True).value == reduced, text
 
 
 def test_quotient_matches_determinant_on_golden_table():
@@ -361,19 +364,20 @@ def test_quotient_matches_determinant_permutation_groups(text):
 
 
 def _dense_quotient_kappa(group, reduced=False):
-    """Reference: the quotient as a MultiGraph, counted by det(J+Q)/n^2."""
-    subgroups, cls = group.cyclic_subgroups, group.cyclic_class
-    sizes = [0] * len(subgroups)
-    for c in cls:
-        sizes[c] += 1
+    """Reference: the quotient as a MultiGraph, counted by det(J+Q)/n^2. Its
+    classes, sizes and inclusions come from member sets found by multiplying,
+    not from the group's poset record."""
+    generators = Counter(_closures_by_multiply(group))  # the identity's {0} first
+    subgroups, sizes = list(generators), list(generators.values())
     drop = 1 if reduced else 0
     quotient = MultiGraph(len(sizes) - drop)
     up = [0] * len(sizes)
     for c, s in enumerate(subgroups):
-        for b in {cls[y] for y in s} - {c}:
-            up[b] += sizes[c]
-            if b >= drop:
-                quotient.add_edge(c - drop, b - drop, sizes[c] * sizes[b])
+        for b, inner in enumerate(subgroups):
+            if inner < s:
+                up[b] += sizes[c]
+                if b >= drop:
+                    quotient.add_edge(c - drop, b - drop, sizes[c] * sizes[b])
     kept = range(drop, len(sizes))
     num = temperley_kappa(quotient).value * prod(
         (len(subgroups[c]) - drop + up[c]) ** (sizes[c] - 1) for c in kept
@@ -389,7 +393,19 @@ def _dense_quotient_kappa(group, reduced=False):
 def test_quotient_matches_dense_quotient(text):
     g = build(parse_group_spec(text))
     for reduced in (False, True):
-        assert quotient_kappa(g, reduced).value == _dense_quotient_kappa(g, reduced), text
+        assert quotient_kappa(g.poset, reduced).value == _dense_quotient_kappa(g, reduced), text
+
+
+def test_quotient_needs_only_the_poset_record():
+    """Z_n's record written from the divisors of n, with no group, counts
+    what the closed form does for n = 1..420."""
+    from powertree.closedform import kappa_cyclic
+
+    for n in range(1, 421):
+        poset = cyclic_poset(n)
+        assert quotient_kappa(poset).value == kappa_cyclic(n).value, n
+        if n > 1:
+            assert quotient_kappa(poset, reduced=True).value == kappa_cyclic(n, reduced=True).value, n
 
 
 @pytest.mark.parametrize(
@@ -406,7 +422,7 @@ def test_residue_oracle_matches_the_determinant(text):
 def test_quotient_matches_the_residue_oracle_above_the_dense_cap(text):
     # 5 040 and 2 520 vertices, past the dense routes, and no closed form applies
     g = build(parse_group_spec(text))
-    kappa = quotient_kappa(g).value
+    kappa = quotient_kappa(g.poset).value
     assert [residue_kappa(g, p) for p in RESIDUE_PRIMES] == [kappa % p for p in RESIDUE_PRIMES]
 
 
@@ -455,15 +471,15 @@ def test_root_deleted_determinant_on_weighted_graphs():
 
 def test_quotient_matches_block_product_a6():
     g = build(parse_group_spec("alt:6"))
-    assert quotient_kappa(g) == block_decomposition_kappa(power_graph(g))
+    assert quotient_kappa(g.poset) == block_decomposition_kappa(power_graph(g))
     # the identity is a cut vertex, so the reduced graph falls apart
     assert block_decomposition_kappa(reduced_power_graph(g)) == 0
-    assert quotient_kappa(g, reduced=True) == 0
+    assert quotient_kappa(g.poset, reduced=True) == 0
 
 
 def test_quotient_reduced_trivial_group():
     with pytest.raises(TrivialGroup):
-        quotient_kappa(build(parse_group_spec("cyclic:1")), reduced=True)
+        quotient_kappa(build(parse_group_spec("cyclic:1")).poset, reduced=True)
 
 
 # --- MultiGraph and TreeNumber -----------------------------------------------
@@ -526,6 +542,6 @@ def test_treenumber_multiplication():
 def test_treenumber_renders_past_the_digit_limit():
     # both raised an untyped int-to-str ValueError before
     assert repr(TreeNumber(10**5000)) == f"TreeNumber(1{'0' * 5000})"
-    count = quotient_kappa(build(GroupSpec("cyclic", (1500,))))
+    count = quotient_kappa(build(GroupSpec("cyclic", (1500,))).poset)
     assert count.factorization is None
     assert count.factored() == format_decimal(count.value)

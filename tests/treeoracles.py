@@ -3,12 +3,16 @@
 Enumeration and the deletion-contraction recurrence take time exponential in
 the graph, so no command runs them; acceptance criterion 7 and the treecount
 tests compare them with the matrix-tree count. `residue_kappa` checks the
-quotient count above the dense cap, modulo a prime.
+quotient count above the dense cap, modulo a prime. `cyclic_poset` writes
+Z_n's poset record from the divisors of n alone, so the quotient count can
+be checked with no group built.
 """
 
 from heapq import heapify, heappop, heappush
 
 from powertree.errors import TooLarge
+from powertree.groups import CyclicPoset
+from powertree.numutil import divisors, phi
 from powertree.powergraph import reduced_power_graph
 from powertree.treecount import MultiGraph, TreeNumber, as_multigraph
 
@@ -203,3 +207,12 @@ def residue_kappa(g, p: int) -> int:
         for a, _ in nbrs:
             heappush(heap, (len(rows[a]), a))
     return det
+
+
+def cyclic_poset(n: int) -> CyclicPoset:
+    """The cyclic-subgroup poset of Z_n from the divisors of n alone: one
+    class per divisor d, of order d with phi(d) generators, and below it the
+    classes of the other divisors of d; divisor 1, the identity, is class 0."""
+    divs = divisors(n)
+    return CyclicPoset(tuple(divs), tuple(map(phi, divs)),
+                       tuple(tuple(j for j, e in enumerate(divs) if e != d and d % e == 0) for d in divs))
