@@ -5,8 +5,8 @@ keeps one representation: its element list, the index of each element, and the
 multiplication oracle on elements (no Cayley table). A permutation is the byte string
 of its images, at most 256 points, and two compose by one bytes.translate. The group
 also owns its poset of cyclic subgroups as one record, a CyclicPoset, filled by one
-power walk per cyclic subgroup; the power graph and the tree counts read only that
-record and each element's class in it.
+power walk per cyclic subgroup, or for Z_n written from the divisors of n; the power
+graph and the tree counts read only that record and each element's class in it.
 """
 
 from __future__ import annotations
@@ -19,11 +19,12 @@ from math import factorial, gcd
 from typing import NamedTuple
 
 from .errors import InvalidSpec, NotPrime, UnsupportedOrder
-from .numutil import is_prime
+from .numutil import divisors, is_prime, phi
 
 DEFAULT_MAX_ORDER = 10_000
 MAX_PERM_DEGREE = 8  # sym and alt
 MAX_PERM_POINTS = 256  # perm: a permutation is the byte string of its images
+MAX_PRODUCT_DEPTH = 100  # parse, build and render recurse once per level
 _POINTS = bytes(range(MAX_PERM_POINTS))
 _POINT_NAMES = [str(j + 1) for j in range(MAX_PERM_POINTS)]
 
@@ -53,14 +54,18 @@ class GroupSpec(NamedTuple):
 
     def render(self) -> str:
         """Canonical spec-grammar text; parse_group_spec inverts this."""
-        row = _row(self)
-        if row is not None:
-            return f"{self.kind}:" + row.sep.join(map(str, self.params))
-        if self.kind == "product":
-            a, b = self.factors
-            return f"product:({a.render()})x({b.render()})"
-        gens = ";".join(_cycle_notation(g) for g in self.generators)
-        return f"perm:{self.params[0]}:{gens}"
+        return _render(self, 0)
+
+
+def _render(spec: GroupSpec, depth: int) -> str:
+    row = _row(spec, depth)
+    if row is not None:
+        return f"{spec.kind}:" + row.sep.join(map(str, spec.params))
+    if spec.kind == "product":
+        a, b = spec.factors
+        return f"product:({_render(a, depth + 1)})x({_render(b, depth + 1)})"
+    gens = ";".join(_cycle_notation(g) for g in spec.generators)
+    return f"perm:{spec.params[0]}:{gens}"
 
 
 def _cycle_notation(perm) -> str:
@@ -100,7 +105,7 @@ class FiniteGroup:
     cyclic subgroups; classes are numbered in order of their first element,
     and the elements of one class are the generators of its subgroup.
     element_repr(i) is element i's text, made by `label` only when asked.
-    `index`, when given, is the element-to-index dict of `elements`.
+    `index`, when given, is the element-to-index mapping of `elements`.
     """
 
     __slots__ = ("name", "order", "poset", "cyclic_class", "_elements", "_index", "_mul_raw", "_label")
@@ -117,6 +122,12 @@ class FiniteGroup:
         for i in {1, self.order - 1, self.order // 2} & set(range(self.order)):
             if self.multiply(0, i) != i or self.multiply(i, 0) != i:
                 raise InvalidSpec(f"element 0 of {name} is not the identity")
+        self.cyclic_class, self.poset = self._classes()
+
+    def _classes(self) -> tuple[list[int], CyclicPoset]:
+        """(cyclic_class, poset) by one power walk per cyclic subgroup <x>, in
+        order of each subgroup's first element x."""
+        elements, index, mul = self._elements, self._index, self._mul_raw
         orders, sizes, below = [], [], []
         cls = [-1] * self.order
         for x in range(self.order):
@@ -141,10 +152,9 @@ class FiniteGroup:
             orders.append(m)
             sizes.append(k_c)
             below.append(inside)
-        self.cyclic_class = cls
         # the elements of `below` to their classes, now that all are known
         below = tuple(tuple(map(cls.__getitem__, inside)) for inside in below)
-        self.poset = CyclicPoset(tuple(orders), tuple(sizes), below)
+        return cls, CyclicPoset(tuple(orders), tuple(sizes), below)
 
     @property
     def cyclic_closure(self) -> list[frozenset[int]]:
@@ -176,8 +186,33 @@ def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, f"Z_{n}")
-    return FiniteGroup(f"Z_{n}", list(range(n)), lambda a, b: (a + b) % n,
-                       lambda i: _rot_repr(i, 0))
+    return _CyclicGroup(f"Z_{n}", range(n), lambda a, b: (a + b) % n,
+                        lambda i: _rot_repr(i, 0), range(n))
+
+
+class _CyclicGroup(FiniteGroup):
+    """Z_n on 0..n-1, its classes written from the divisors of n, no power walk."""
+
+    __slots__ = ()
+
+    def _classes(self) -> tuple[list[int], CyclicPoset]:
+        """Numbered as the power walk numbers them. <i> = <gcd(i, n)>, and the
+        first element of <d> is d, so class c >= 1 is <d> for the c-th smallest
+        divisor d < n, of order n / d; inside it lie {0} and the <k*d> for the
+        divisors 1 < k < n / d of n / d, in the walk's order of ascending k."""
+        n = self.order
+        divs = divisors(n)
+        firsts = [n, *divs[:-1]]  # class c is <firsts[c]>
+        cls = {d: c for c, d in enumerate(firsts)}
+        orders = tuple(n // d for d in firsts)
+        below = tuple((0, *(cls[k * d] for k in divs[1:] if k < m and m % k == 0)) if m > 1 else ()
+                      for d, m in zip(firsts, orders))
+        # i's class is that of gcd(i, n), the largest divisor of n dividing i,
+        # which is the last d to write it in ascending order
+        cyclic_class = [0] * n
+        for c, d in enumerate(divs[:-1], 1):
+            cyclic_class[d::d] = [c] * (n // d - 1)
+        return cyclic_class, CyclicPoset(orders, tuple(map(phi, orders)), below)
 
 
 def _rot_repr(i: int, j: int) -> str:
@@ -350,12 +385,15 @@ KINDS = {
 }
 
 
-def _row(spec: GroupSpec) -> Kind | None:
+def _row(spec: GroupSpec, depth: int) -> Kind | None:
     """spec's row of KINDS, None for product and perm; checks kind, arity and
-    types, and that each perm generator is a permutation of range(degree)."""
+    types, that each perm generator is a permutation of range(degree), and
+    that products nest at most MAX_PRODUCT_DEPTH deep, `depth` enclosing spec."""
     row = KINDS.get(spec.kind) if type(spec.kind) is str else None
     if row is None and spec.kind not in ("product", "perm"):
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
+    if spec.kind == "product" and depth >= MAX_PRODUCT_DEPTH:
+        raise InvalidSpec(f"product nested more than {MAX_PRODUCT_DEPTH} deep")
     arity = len(row.params) if row else int(spec.kind == "perm")
     if (not all(type(c) is tuple for c in (spec.params, spec.factors, spec.generators))
             or len(spec.params) != arity or len(spec.factors) != 2 * (spec.kind == "product")
@@ -374,12 +412,16 @@ def _row(spec: GroupSpec) -> Kind | None:
 
 def build(spec: GroupSpec) -> FiniteGroup:
     """Materialize a GroupSpec into a FiniteGroup."""
-    row = _row(spec)
+    return _build(spec, 0)
+
+
+def _build(spec: GroupSpec, depth: int) -> FiniteGroup:
+    row = _row(spec, depth)
     if row is not None:
         return row.builder(*spec.params)
     if spec.kind == "product":
         a, b = spec.factors
-        return direct_product(build(a), build(b))
+        return direct_product(_build(a, depth + 1), _build(b, depth + 1))
     return _permutation(spec.params[0], spec.generators)
 
 

@@ -1,15 +1,19 @@
 """Integer helpers: primality, factorization, totients, divisor lists.
 
-Factorization divides out the primes below 100000 and splits what is left by
-Lenstra's elliptic-curve method (ECM) on Montgomery curves. One call of
-`try_factorize` gets ECM_CURVES curves in all, shared by every cofactor it
-splits off. The budget counts curves, not time, so a result depends only on n.
+Factorization divides out the primes below 100000, the first 64 one by one
+and the rest by the gcd of n with the product of each later run of 64, and
+splits what is left by Lenstra's elliptic-curve method (ECM) on Montgomery
+curves. One call of `try_factorize` gets ECM_CURVES curves in all, shared by
+every cofactor it splits off. The budget counts curves, not time, so a result
+depends only on n.
 
-A cofactor's first curve runs here; if it fails, the next curves run side by
-side, one per usable core, in forked helpers. The curves spent and the factor
-found are those of running one curve after another, whatever the core count.
-What every curve repeats, the stage-1 prime powers and the stage-2 pairs of
-primes m*D +- j, is a plan built on the first curve.
+A cofactor's first curve runs here; if it fails, the sigmas left are dealt
+round-robin to one lane per usable core, each lane but this process's one
+helper forked once. The curves spent and the factor found are those of
+running one curve after another, whatever the core count. What every curve
+repeats, the stage-1 prime powers and the stage-2 pairs of primes m*D +- j, is
+a plan built on the first curve. Stage 2 makes its points affine by batched
+inversion, so each pair costs one product term.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import os
 import sys
 from collections import deque
 from functools import lru_cache
-from itertools import compress
+from itertools import accumulate, compress
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
 # psi_13 = 3317044064679887385961981, the smallest strong pseudoprime to all
@@ -152,6 +156,24 @@ def _ladder(x, z, bits, a24, n):
     return x0, z0
 
 
+def _inverses(zs: list[int], n: int) -> list[int] | None:
+    """The inverses of zs mod n by Montgomery's trick, one pow for all; None
+    when one of them has none."""
+    prefix = list(accumulate(zs, lambda a, z: a * z % n, initial=1))
+    try:
+        inv = pow(prefix[-1], -1, n)
+    except ValueError:
+        return None
+    out = [0] * len(zs)
+    for i in range(len(zs) - 1, -1, -1):
+        out[i] = inv * prefix[i] % n
+        inv = inv * zs[i] % n
+    return out
+
+
+_GIANT_CHUNK = 32  # giant steps made affine by one batched inversion
+
+
 def _ecm_curve(n: int, sigma: int) -> int | None:
     """A nontrivial factor of composite n from Suyama's curve sigma, or None."""
     stage1, pairs = _ecm_plan()
@@ -165,26 +187,46 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
         g = math.gcd(z, n)
         if g > 1:
             return g if g < n else None
-    # stage 2: a prime r = m*D +- j kills q mod p iff x([m*D]q) = x([j]q) mod p
+    # stage 2: a prime r = m*D +- j kills q mod p iff x([m*D]q) = x([j]q) mod p.
+    # With both points affine the term is gx - bx, which differs from the
+    # projective gx*bz - bx*gz by the unit 1/(gz*bz); a chunk whose z have no
+    # batched inverse keeps the projective term, so every gcd below is that
+    # of the projective product.
     q = x, z
     twice = _x_dbl(q, a24, n)
     baby = [None, q, None, _x_add(twice, q, q, n)]  # [j]q at index j, for odd j < D/2
     for j in range(5, _ECM_D // 2, 2):
         baby += [None, _x_add(baby[j - 2], twice, baby[j - 4], n)]
+    affine = None  # x([j]q) / z([j]q) at index j, when every z([j]q) has an inverse
+    inv = _inverses([bz for _, bz in baby[1::2]], n)
+    if inv is not None:
+        affine = [0] * len(baby)
+        affine[1::2] = [bx * i % n for (bx, _), i in zip(baby[1::2], inv)]
     m = _ECM_B1 // _ECM_D
     step = _ladder(x, z, bin(_ECM_D)[3:], a24, n)
     prev = _ladder(x, z, bin((m - 1) * _ECM_D)[3:], a24, n)
     giant = _ladder(x, z, bin(m * _ECM_D)[3:], a24, n)
     acc = 1
-    for js in pairs:
-        gx, gz = giant
-        for j in js:
-            bx, bz = baby[j]
-            acc = acc * (gx * bz - bx * gz) % n
-        g = math.gcd(acc, n)
-        if g > 1:
-            return g if g < n else None
-        prev, giant = giant, _x_add(giant, step, prev, n)
+    for start in range(0, len(pairs), _GIANT_CHUNK):
+        chunk = pairs[start : start + _GIANT_CHUNK]
+        giants = []
+        for _ in chunk:
+            giants.append(giant)
+            prev, giant = giant, _x_add(giant, step, prev, n)
+        ginv = affine and _inverses([gz for _, gz in giants], n)
+        for i, js in enumerate(chunk):
+            gx, gz = giants[i]
+            if ginv is not None:
+                gx = gx * ginv[i] % n
+                for j in js:
+                    acc = acc * (gx - affine[j]) % n
+            else:
+                for j in js:
+                    bx, bz = baby[j]
+                    acc = acc * (gx * bz - bx * gz) % n
+            g = math.gcd(acc, n)
+            if g > 1:
+                return g if g < n else None
     return None
 
 
@@ -204,8 +246,9 @@ def _lanes() -> int:
     return usable_cores()
 
 
-def _spawn(n: int, sigma: int):
-    """(pid, pipe) of a forked helper that writes _ecm_curve(n, sigma) in hex, 0 for None."""
+def _spawn(n: int, sigmas: list[int]):
+    """(pid, pipe) of a forked helper that writes _ecm_curve(n, sigma) for each
+    of sigmas in turn, one hex line each, 0 for None."""
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -216,8 +259,9 @@ def _spawn(n: int, sigma: int):
     if pid == 0:
         try:
             os.close(r)
-            with open(w, "wb") as pipe:
-                pipe.write(b"%x" % (_ecm_curve(n, sigma) or 0))
+            with open(w, "wb", buffering=0) as pipe:
+                for sigma in sigmas:
+                    pipe.write(b"%x\n" % (_ecm_curve(n, sigma) or 0))
         finally:
             os._exit(0)
     os.close(w)
@@ -227,38 +271,43 @@ def _spawn(n: int, sigma: int):
 def _first_split(n: int, sigmas: deque) -> int | None:
     """The factor that the first curve in sigmas to split n finds, or None.
 
-    The curves run in batches: n's first curve alone, then one per lane. This
-    process runs a batch's first sigma and forked helpers the others; the
-    results are read in sigma order, and the sigmas after the first split go
-    back to the front of sigmas. So the curves spent and the factor found are
-    those of running one curve after another. A sigma whose helper cannot be
-    forked or reports nothing runs here.
+    n's first curve runs here. The sigmas after it are dealt round-robin to
+    one lane per core: lane 0 runs here, and each other lane is one forked
+    helper. The results are read in sigma order, and the sigmas after the
+    first split go back to sigmas. So the curves spent and the factor found
+    are those of running one curve after another. A sigma whose helper cannot
+    be forked or stops writing runs here.
     """
-    width = 1
-    while sigmas:
-        batch = [sigmas.popleft() for _ in range(min(width, len(sigmas)))]
-        helpers = [None]  # batch[0] runs here
-        try:
-            for sigma in batch[1:]:
-                try:
-                    helpers.append(_spawn(n, sigma))
-                except OSError:
-                    helpers.append(None)
-            for i, helper in enumerate(helpers):
-                report = helper[1].read() if helper else b""
-                d = (int(report, 16) or None) if report else _ecm_curve(n, batch[i])
-                if d is not None:
-                    sigmas.extendleft(reversed(batch[i + 1 :]))
-                    return d
-        finally:
-            for pid, pipe in filter(None, helpers):
-                from signal import SIGKILL  # imported here: it takes 1 ms at start-up
+    if not sigmas:
+        return None
+    d = _ecm_curve(n, sigmas.popleft())
+    if d is not None or not sigmas:
+        return d
+    rest = list(sigmas)
+    sigmas.clear()
+    width = min(_lanes(), len(rest))
+    helpers = []
+    try:
+        for lane in range(1, width):
+            try:
+                helpers.append(_spawn(n, rest[lane::width]))
+            except OSError:
+                helpers.append(None)
+        for i, sigma in enumerate(rest):
+            helper = helpers[i % width - 1] if i % width else None
+            line = helper[1].readline() if helper else b""
+            d = (int(line, 16) or None) if line.endswith(b"\n") else _ecm_curve(n, sigma)
+            if d is not None:
+                sigmas.extend(rest[i + 1 :])
+                return d
+        return None
+    finally:
+        for pid, pipe in filter(None, helpers):
+            from signal import SIGKILL  # imported here: it takes 1 ms at start-up
 
-                pipe.close()
-                os.kill(pid, SIGKILL)
-                os.waitpid(pid, 0)
-        width = _lanes()
-    return None
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _factor_into(n: int, out: dict[int, int], sigmas: deque) -> bool:
@@ -276,17 +325,37 @@ def _factor_into(n: int, out: dict[int, int], sigmas: deque) -> bool:
     return d is not None and _factor_into(d, out, sigmas) and _factor_into(n // d, out, sigmas)
 
 
+_BLOCK = 64  # trial primes per block product
+
+
+@lru_cache(maxsize=None)
+def _trial_block(start: int) -> int:
+    """Product of the run of _BLOCK trial primes from index start, built when
+    a number first reaches that run."""
+    return math.prod(_TRIAL_PRIMES[start : start + _BLOCK])
+
+
 def try_factorize(n: int) -> dict[int, int] | None:
     """Full prime factorization of n >= 1, or None when ECM_CURVES curves fail."""
     if n < 1:
         raise ValueError("factorization requires a positive integer")
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES:
+    for p in _TRIAL_PRIMES[:_BLOCK]:
         if p * p > n:
             break
         while n % p == 0:
             out[p] = out.get(p, 0) + 1
             n //= p
+    else:
+        # the later runs by block: a run whose product is prime to n is skipped
+        for start in range(_BLOCK, len(_TRIAL_PRIMES), _BLOCK):
+            if _TRIAL_PRIMES[start] ** 2 > n:
+                break
+            if math.gcd(_trial_block(start), n) > 1:
+                for p in _TRIAL_PRIMES[start : start + _BLOCK]:
+                    while n % p == 0:
+                        out[p] = out.get(p, 0) + 1
+                        n //= p
     if 1 < n < _TRIAL_PRIMES[-1] ** 2:  # no trial prime divides n, so n is prime
         out[n] = 1
     elif n > 1:

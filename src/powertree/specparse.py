@@ -14,10 +14,9 @@ from __future__ import annotations
 import sys
 
 from .errors import ParseError
-from .groups import KINDS, MAX_PERM_POINTS, GroupSpec
+from .groups import KINDS, MAX_PERM_POINTS, MAX_PRODUCT_DEPTH, GroupSpec
 
 _EXPECTED_KIND = "one of " + ", ".join([*KINDS, "product", "perm"])
-MAX_PRODUCT_DEPTH = 100  # parse, build and render recurse once per level
 
 
 class _Scanner:

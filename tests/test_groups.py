@@ -7,6 +7,8 @@ import pytest
 from powertree.cli import main
 from powertree.errors import InvalidSpec, NotPrime, UnsupportedOrder
 from powertree.groups import (
+    MAX_PRODUCT_DEPTH,
+    FiniteGroup,
     GroupSpec,
     _compose,
     _cycle_notation,
@@ -254,6 +256,53 @@ def test_built_group_keeps_no_member_sets(text, limit):
         tracemalloc.stop()
     assert g.order in (5040, 10000)
     assert retained <= limit, (text, retained)
+
+
+def _walked_cyclic(n):
+    """Z_n as the power walk numbers it, built element by element."""
+    return FiniteGroup(f"Z_{n}", list(range(n)), lambda a, b: (a + b) % n, str)
+
+
+@pytest.mark.parametrize("ns", [range(1, 211), range(211, 421), (720, 5040, 9240, 10000)],
+                         ids=["1-210", "211-420", "larger"])
+def test_cyclic_classes_from_divisors_match_the_power_walk(ns):
+    for n in ns:
+        g, walked = build(GroupSpec("cyclic", (n,))), _walked_cyclic(n)
+        assert g.cyclic_class == walked.cyclic_class, n
+        assert g.poset == walked.poset, n
+
+
+def test_cyclic_build_runs_no_power_walk(monkeypatch):
+    def refuse(self):
+        raise AssertionError("the power walk ran")
+
+    monkeypatch.setattr(FiniteGroup, "_classes", refuse)
+    g = _build("cyclic:420")
+    assert g.poset.orders[:3] == (1, 420, 210)
+    assert g.multiply(419, 2) == 1 and g.element_repr(5) == "x^5"
+    with pytest.raises(AssertionError, match="power walk"):
+        _build("dihedral:3")
+
+
+def _nested_spec(depth):
+    spec = GroupSpec("cyclic", (1,))
+    for _ in range(depth):
+        spec = GroupSpec("product", factors=(spec, GroupSpec("cyclic", (1,))))
+    return spec
+
+
+def test_deep_product_spec_is_invalid_on_build_and_render():
+    deep = _nested_spec(1000)
+    message = f"product nested more than {MAX_PRODUCT_DEPTH} deep"
+    with pytest.raises(InvalidSpec, match=message):
+        build(deep)
+    with pytest.raises(InvalidSpec, match=message):
+        deep.render()
+    with pytest.raises(InvalidSpec, match=message):
+        build(_nested_spec(MAX_PRODUCT_DEPTH + 1))
+    limit = _nested_spec(MAX_PRODUCT_DEPTH)
+    assert build(limit).order == 1
+    assert parse_group_spec(limit.render()) == limit
 
 
 def test_count_cyclic_subgroups():

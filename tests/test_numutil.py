@@ -256,6 +256,32 @@ def test_curve_matches_the_reference_curve():
             assert numutil._ecm_curve(n, sigma) == _ref_ecm_curve(n, sigma), (n, sigma)
 
 
+@pytest.mark.parametrize("fails", ["every", "alternate"])
+def test_curve_without_batched_inverses_matches_the_reference_curve(monkeypatch, fails):
+    # a batch with no inverse keeps the projective stage-2 term: for every
+    # batch, or for every other one, so affine and projective chunks mix
+    inverses, calls = numutil._inverses, []
+
+    def failing(zs, n):
+        calls.append(len(zs))
+        return None if fails == "every" or len(calls) % 2 == 0 else inverses(zs, n)
+
+    monkeypatch.setattr(numutil, "_inverses", failing)
+    for n in SQUAREFREE:
+        for sigma in range(6, 12):
+            assert numutil._ecm_curve(n, sigma) == _ref_ecm_curve(n, sigma), (n, sigma)
+    assert calls  # stage 2 ran
+
+
+def test_batched_inverses():
+    rng = random.Random(25)
+    n = COFACTORS["Z_420r"]
+    zs = [rng.randrange(1, n) for _ in range(40)]
+    assert numutil._inverses(zs, n) == [pow(z, -1, n) for z in zs]
+    assert numutil._inverses([], n) == []
+    assert numutil._inverses([*zs, 1379113841234273 * 5], n) is None
+
+
 def test_ladder_matches_the_reference_ladder():
     rng = random.Random(7)
     for _ in range(20):
@@ -288,11 +314,83 @@ def test_importing_the_cli_leaves_the_plan_unbuilt():
     code = (
         "import powertree.cli\n"
         "from powertree import numutil\n"
-        "print(numutil._ecm_plan.cache_info().currsize)\n"
+        "print(numutil._ecm_plan.cache_info().currsize, numutil._trial_block.cache_info().currsize)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
-    assert done.stdout == "0\n"
+    assert done.stdout == "0 0\n"
+
+
+def _per_prime(n):
+    """Trial division one prime at a time: (factors, cofactor left to the curves)."""
+    out = {}
+    for p in numutil._TRIAL_PRIMES:
+        if p * p > n:
+            break
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    if 1 < n < numutil._TRIAL_PRIMES[-1] ** 2:
+        out[n], n = 1, 1
+    return out, n
+
+
+def _trial_inputs():
+    primes = numutil._TRIAL_PRIMES
+    edges = [i for k in range(64, len(primes), 64) for i in (k - 1, k)]  # a run's last prime, the next's first
+    some = sorted({*edges[:8], *edges[-8:], *range(0, len(primes), 257)})
+    yield 1
+    yield from primes
+    for i in some:
+        yield primes[i] ** 2
+        yield primes[i] ** 3
+    for k in edges[::2]:
+        yield primes[k] * primes[k + 1]
+        yield primes[k] ** 2 * primes[k + 1] * primes[-1]
+    yield from (99991 * 100003, 99991**2 * 100003, 99991 * next_prime(2**64))
+    rng = random.Random(25)
+    for _ in range(150):
+        yield rng.getrandbits(rng.randint(1, 200)) + 1
+    for _ in range(50):  # smooth: many runs share a prime with n
+        yield prod(rng.sample(primes, rng.randint(1, 12)))
+
+
+def test_block_trial_division_matches_the_per_prime_loop(monkeypatch):
+    left = []
+    monkeypatch.setattr(numutil, "_factor_into", lambda n, out, sigmas: left.append(n) or True)
+    for n in _trial_inputs():
+        left.clear()
+        got = try_factorize(n)
+        want, rest = _per_prime(n)
+        assert list(got.items()) == list(want.items()), n
+        assert left == ([rest] if rest > 1 else []), n
+
+
+def test_small_numbers_build_no_blocks():
+    numutil._trial_block.cache_clear()
+    for n in (*range(1, 5000), 311**2 - 1, 307 * 311, 313 * 307, 96719):
+        assert try_factorize(n) == _per_prime(n)[0]
+    assert numutil._trial_block.cache_info().currsize == 0
+    # a number builds only the runs up to its square root
+    assert try_factorize(313**2) == {313: 2}
+    assert numutil._trial_block.cache_info().currsize == 1
+    assert try_factorize(1009 * 1013) == {1009: 1, 1013: 1}  # the runs from primes 313 and 727
+    assert numutil._trial_block.cache_info().currsize == 2
+
+
+_FORKS = []  # pids returned to the parent by a counting fork
+
+
+def _counting_fork(fork):
+    here = os.getpid()
+
+    def counted():
+        pid = fork()
+        if os.getpid() == here:
+            _FORKS.append(pid)
+        return pid
+
+    return counted
 
 
 @pytest.mark.parametrize(
@@ -306,6 +404,8 @@ def test_lanes_give_the_sequential_result(monkeypatch, width, fork_fails):
             raise OSError("fork refused")
 
         monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        monkeypatch.setattr(os, "fork", _counting_fork(os.fork))
     budgets = []
 
     def recorded(sigmas):
@@ -314,7 +414,12 @@ def test_lanes_give_the_sequential_result(monkeypatch, width, fork_fails):
 
     monkeypatch.setattr(numutil, "deque", recorded)
     for n in LANE_CORPUS:
+        _FORKS.clear()
         assert (try_factorize(n), list(budgets[-1])) == _sequential(n), n
+        # every n here is a product of two primes above the trial primes, so
+        # one cofactor meets the curves, and forks lanes if its first fails
+        past_first = _sequential(n)[1] != list(range(7, 6 + numutil.ECM_CURVES))
+        assert len(_FORKS) == (width - 1 if past_first and not fork_fails else 0), n
     # the one curve that splits each of the two slow cofactors into primes
     for name, sigma in (("Z_420r", 63), ("Z_360r", 15)):
         assert _sequential(COFACTORS[name])[1] == list(range(sigma + 1, 6 + numutil.ECM_CURVES))
@@ -343,6 +448,42 @@ def test_a_helper_that_reports_nothing_leaves_its_curve_here(monkeypatch):
     assert list(sigmas) == _sequential(COFACTORS["Z_360r"])[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("written", [0, 1, 3])
+def test_a_helper_that_stops_writing_leaves_its_curves_here(monkeypatch, written):
+    here = os.getpid()
+    curve = numutil._ecm_curve
+    count = [0]  # curves this process has run; a helper counts from 0 after the fork
+
+    def curve_then_stop(n, sigma):
+        if os.getpid() != here:
+            count[0] += 1
+            if count[0] > written:
+                raise RuntimeError("helper stops")
+        return curve(n, sigma)
+
+    monkeypatch.setattr(numutil, "_lanes", lambda: 3)
+    monkeypatch.setattr(numutil, "_ecm_curve", curve_then_stop)
+    for name, d in (("Z_360r", 1170242789503), ("Z_312r", 39069483757)):
+        sigmas = deque(range(6, 6 + numutil.ECM_CURVES))
+        assert numutil._first_split(COFACTORS[name], sigmas) == d
+        assert list(sigmas) == _sequential(COFACTORS[name])[1]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_helper_outlives_a_budget_that_runs_out(monkeypatch):
+    monkeypatch.setattr(numutil, "_lanes", lambda: 3)
+    monkeypatch.setattr(os, "fork", _counting_fork(os.fork))
+    _FORKS.clear()
+    hard = next_prime(2**100) * next_prime(2**101)
+    sigmas = deque(range(6, 14))
+    assert numutil._first_split(hard, sigmas) is None
+    assert not sigmas and len(_FORKS) == 2
+    for pid in _FORKS:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
 
 
 def test_no_lanes_beside_other_threads():
