@@ -13,6 +13,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import closing
 from functools import cache
 from itertools import combinations
 from typing import NamedTuple
@@ -21,7 +22,7 @@ from . import classify as classify_mod
 from . import closedform, table1
 from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge, UnsupportedOrder
 from .groups import FiniteGroup, GroupSpec, build, max_order
-from .numutil import format_decimal, usable_cores
+from .numutil import format_decimal, in_lanes
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
@@ -120,17 +121,17 @@ def cmd_table1(args) -> int:
     return 0 if all(r.ok for r in results) else 1
 
 
-def _verify_single(n: int) -> tuple[int, str | None]:
-    """Closed forms against determinants for Z_n; returns (n, failure or None)."""
+def _verify_single(n: int) -> str | None:
+    """Closed forms against determinants for Z_n: the first mismatch, or None."""
     spec = GroupSpec("cyclic", (n,))
     g = build(spec)
     for reduced in (False, True) if n > 1 else (False,):
         closed = _count(spec, g, "closed-form", reduced).value
         direct = _count(spec, g, "matrix-tree", reduced).value
         if closed != direct:
-            name = f"Z_{n} reduced" if reduced else f"Z_{n}"
-            return n, f"kappa({name}): closed form {closed} != matrix-tree {direct}"
-    return n, None
+            name = g.name + " reduced" * reduced
+            return f"kappa({name}): closed form {closed} != matrix-tree {direct}"
+    return None
 
 
 def cmd_verify(args) -> int:
@@ -141,31 +142,16 @@ def cmd_verify(args) -> int:
         raise UnsupportedOrder(f"--max-n {args.max_n} > order cap {cap}")
     # Z_n's full graph has the largest determinant, of n rows
     check_dense_dim(args.max_n, "verify --max-n")
-    if args.jobs < 1:
-        raise OutOfRange("--jobs must be >= 1")
-    values = range(1, args.max_n + 1)
-    # the pool starts every worker up front, so more than there are usable
-    # cores or values of n only costs processes
-    workers = min(args.jobs, usable_cores(), args.max_n)
-    if workers > 1:
-        # imported here: multiprocessing costs every other command its import
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_verify_single, values))
-    else:
-        results = [_verify_single(n) for n in values]
-    for _, failure in sorted(results):
-        if failure is not None:
-            print(f"FAIL: {failure}")
-            return 1
+    with closing(in_lanes(_verify_single, range(1, args.max_n + 1))) as failures:
+        failure = next(filter(None, failures), None)  # that of the smallest n
+    if failure is not None:
+        print(f"FAIL: {failure}")
+        return 1
     print(f"all n up to {args.max_n} verified")
     return 0
 
 
 def cmd_divisor_graph(args) -> int:
-    if args.n < 1:
-        raise OutOfRange("n must be >= 1")
     cap = max_order()
     if args.n > cap:
         raise UnsupportedOrder(f"n = {args.n} > order cap {cap}")
@@ -266,8 +252,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="closed forms vs determinants for Z_1..Z_N")
     p.add_argument("--max-n", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (>= 1), at most one per core and per n")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("divisor-graph", help="middle-divisor graph of n (or its complement)")

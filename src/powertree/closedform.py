@@ -28,6 +28,7 @@ from .errors import (
     NotEPO,
     NotPowerOfTwo,
     NotPrime,
+    OutOfRange,
     TooManyDivisors,
     TrivialGroup,
 )
@@ -60,8 +61,6 @@ class DivisorProfile(NamedTuple):
 def divisor_profile(n: int) -> DivisorProfile:
     """An element of order d is joined to the d - 1 others of its subgroup and
     to the phi(e) generators of each subgroup of order e above it, d | e."""
-    if n < 1:
-        raise ValueError("divisor profile needs n >= 1")
     divs = tuple(sorted(divisors(n), reverse=True))
     tots = tuple(phi(d) for d in divs)
     if sum(tots) != n:
@@ -208,10 +207,10 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
     The (p^k - 1)/(p - 1) cyclic subgroups of order p meet only in the
     identity, so the count is p raised to (p-2) per subgroup.
     """
+    if k < 1:
+        raise OutOfRange(f"rank must be >= 1, got {k}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    if k < 1:
-        raise ValueError("rank must be >= 1")
     return TreeNumber.from_powers(f"Z_{p}^{k}", [(p, (p**k - 1) // (p - 1) * (p - 2))])
 
 
@@ -256,10 +255,6 @@ def closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber | 
         return None
     if reduced:
         return None
-    if k == "elemabelian":
-        return kappa_elementary_abelian(*p)
-    if k == "semidirect":
-        return kappa_semidirect_pq(*p)
     try:
         return kappa_epo(g)
     except NotEPO:

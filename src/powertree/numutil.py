@@ -7,10 +7,11 @@ curves. One call of `try_factorize` gets ECM_CURVES curves in all, shared by
 every cofactor it splits off. The budget counts curves, not time, so a result
 depends only on n.
 
-A cofactor's first curve runs here; if it fails, the sigmas left are dealt
-round-robin to one lane per usable core, each lane but this process's one
-helper forked once. The curves spent and the factor found are those of
-running one curve after another, whatever the core count. What every curve
+`in_lanes` is the package's one way to use several cores: it yields fn(item)
+in item order, with the items dealt round-robin to one lane per usable core, each
+lane but this process's one helper forked once. A cofactor's first curve
+runs here and the rest in lanes, so the curves spent and the factor found are
+those of one curve after another, whatever the core count. What every curve
 repeats, the stage-1 prime powers and the stage-2 pairs of primes m*D +- j, is
 a plan built on the first curve. Stage 2 makes its points affine by batched
 inversion, so each pair costs one product term.
@@ -19,12 +20,16 @@ inversion, so each pair costs one product term.
 from __future__ import annotations
 
 import bisect
+import marshal
 import math
 import os
 import sys
 from collections import deque
+from contextlib import closing
 from functools import lru_cache
 from itertools import accumulate, compress
+
+from .errors import OutOfRange
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
 # psi_13 = 3317044064679887385961981, the smallest strong pseudoprime to all
@@ -230,53 +235,84 @@ def _ecm_curve(n: int, sigma: int) -> int | None:
     return None
 
 
-def usable_cores() -> int:
-    """Cores this process may run on: its affinity mask where the platform has
-    one, which `taskset` or a container can make smaller than the machine."""
+def _lanes() -> int:
+    """Lanes to run side by side: one per core in this process's affinity mask,
+    which `taskset` or a container can make smaller than the machine; 1 where
+    fork is missing or unsafe."""
+    threading = sys.modules.get("threading")
+    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
+        return 1  # a forked child of a threaded process can deadlock on a lock another thread held
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
-def _lanes() -> int:
-    """Curves to run side by side: one per usable core, or 1 where fork is missing or unsafe."""
-    threading = sys.modules.get("threading")
-    if not hasattr(os, "fork") or threading and threading.active_count() > 1:
-        return 1  # a forked child of a threaded process can deadlock on a lock another thread held
-    return usable_cores()
-
-
-def _spawn(n: int, sigmas: list[int]):
-    """(pid, pipe) of a forked helper that writes _ecm_curve(n, sigma) for each
-    of sigmas in turn, one hex line each, 0 for None."""
+def _spawn(fn, items: list):
+    """(pid, pipe) of a forked helper that writes marshal.dump(fn(item)) for each
+    of items in turn, or None when fork fails."""
     r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(r)
         os.close(w)
-        raise
+        return None
     if pid == 0:
         try:
             os.close(r)
             with open(w, "wb", buffering=0) as pipe:
-                for sigma in sigmas:
-                    pipe.write(b"%x\n" % (_ecm_curve(n, sigma) or 0))
+                for item in items:
+                    marshal.dump(fn(item), pipe)
         finally:
             os._exit(0)
     os.close(w)
     return pid, open(r, "rb")
 
 
+def in_lanes(fn, items):
+    """Yield fn(item) for each of items, in order, on one lane per usable core.
+
+    The items are dealt round-robin to the lanes. Lane 0 runs here; each
+    other lane is one helper, forked once, that writes its share's results to
+    a pipe, so fn must return what marshal can write. An item whose helper
+    could not be forked, stopped writing or wrote bad data runs here, and so
+    does the rest of that helper's share. Closing the generator, or running
+    it out, kills and reaps every helper.
+    """
+    items = list(items)
+    width = min(_lanes(), len(items))
+    helpers = []  # (pid, pipe) of lanes 1, 2, ...; None where fork failed
+    try:
+        for lane in range(1, width):
+            helpers.append(_spawn(fn, items[lane::width]))
+        pipes = [None, *(helper and helper[1] for helper in helpers)]  # None: the lane runs here
+        for i, item in enumerate(items):
+            lane = i % width
+            if pipes[lane]:
+                try:
+                    result = marshal.load(pipes[lane])
+                except (EOFError, ValueError):
+                    pipes[lane] = None
+                else:
+                    yield result
+                    continue
+            yield fn(item)
+    finally:
+        for pid, pipe in filter(None, helpers):
+            from signal import SIGKILL  # imported here: it takes 1 ms at start-up
+
+            pipe.close()
+            os.kill(pid, SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def _first_split(n: int, sigmas: deque) -> int | None:
     """The factor that the first curve in sigmas to split n finds, or None.
 
-    n's first curve runs here. The sigmas after it are dealt round-robin to
-    one lane per core: lane 0 runs here, and each other lane is one forked
-    helper. The results are read in sigma order, and the sigmas after the
-    first split go back to sigmas. So the curves spent and the factor found
-    are those of running one curve after another. A sigma whose helper cannot
-    be forked or stops writing runs here.
+    n's first curve runs here and the rest in lanes. The results are read in
+    sigma order, and the sigmas after the first split go back to sigmas. So
+    the curves spent and the factor found are those of running one curve
+    after another.
     """
     if not sigmas:
         return None
@@ -285,29 +321,12 @@ def _first_split(n: int, sigmas: deque) -> int | None:
         return d
     rest = list(sigmas)
     sigmas.clear()
-    width = min(_lanes(), len(rest))
-    helpers = []
-    try:
-        for lane in range(1, width):
-            try:
-                helpers.append(_spawn(n, rest[lane::width]))
-            except OSError:
-                helpers.append(None)
-        for i, sigma in enumerate(rest):
-            helper = helpers[i % width - 1] if i % width else None
-            line = helper[1].readline() if helper else b""
-            d = (int(line, 16) or None) if line.endswith(b"\n") else _ecm_curve(n, sigma)
+    with closing(in_lanes(lambda sigma: _ecm_curve(n, sigma), rest)) as curves:
+        for i, d in enumerate(curves):
             if d is not None:
                 sigmas.extend(rest[i + 1 :])
                 return d
-        return None
-    finally:
-        for pid, pipe in filter(None, helpers):
-            from signal import SIGKILL  # imported here: it takes 1 ms at start-up
-
-            pipe.close()
-            os.kill(pid, SIGKILL)
-            os.waitpid(pid, 0)
+    return None
 
 
 def _factor_into(n: int, out: dict[int, int], sigmas: deque) -> bool:
@@ -338,7 +357,7 @@ def _trial_block(start: int) -> int:
 def try_factorize(n: int) -> dict[int, int] | None:
     """Full prime factorization of n >= 1, or None when ECM_CURVES curves fail."""
     if n < 1:
-        raise ValueError("factorization requires a positive integer")
+        raise OutOfRange("n must be >= 1")
     out: dict[int, int] = {}
     for p in _TRIAL_PRIMES[:_BLOCK]:
         if p * p > n:

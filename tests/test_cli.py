@@ -7,13 +7,14 @@ import time
 
 import pytest
 
-from powertree import cli, closedform, errors, powergraph, treecount
+from powertree import cli, closedform, errors, numutil, powergraph, treecount
 from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import KINDS, GroupSpec, build
 from powertree.numutil import format_decimal, is_prime, parse_factored
 from powertree.specparse import MAX_PRODUCT_DEPTH, parse_group_spec
 from powertree.treecount import quotient_kappa
+from test_numutil import _FORKS, _counting_fork, _no_child_left
 from test_powergraph import LABEL_SPECS, ORACLE_SPECS
 from treeoracles import RESIDUE_PRIMES, residue_kappa
 
@@ -433,83 +434,72 @@ def test_cmd_verify_reports_failure(monkeypatch, capsys):
 
     real = closedform.kappa_cyclic
 
-    def wrong_when(flag):
+    def wrong_when(flag, wrong=range(1, 100)):
         def kappa_cyclic(n, reduced=False):
             value = real(n, reduced)
-            return TreeNumber(value.value + 1) if reduced == flag else value
+            return TreeNumber(value.value + 1) if reduced == flag and n in wrong else value
         return kappa_cyclic
 
-    # one job: a monkeypatch does not reach pool workers
-    monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(True))
-    assert main(["verify", "--max-n", "6", "--jobs", "1"]) == 1
-    assert "FAIL: kappa(Z_2 reduced): closed form 2 != matrix-tree 1" in capsys.readouterr().out
-    monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(False))
-    assert main(["verify", "--max-n", "6", "--jobs", "1"]) == 1
-    assert "FAIL: kappa(Z_1): closed form 2 != matrix-tree 1" in capsys.readouterr().out
+    # a forked helper runs with the patches of the process that forked it
+    for width in (1, 2, 3):
+        monkeypatch.setattr(numutil, "_lanes", lambda: width)
+        monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(True))
+        assert main(["verify", "--max-n", "6"]) == 1
+        assert capsys.readouterr().out == "FAIL: kappa(Z_2 reduced): closed form 2 != matrix-tree 1\n"
+        monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(False))
+        assert main(["verify", "--max-n", "6"]) == 1
+        assert capsys.readouterr().out == "FAIL: kappa(Z_1): closed form 2 != matrix-tree 1\n"
+        # the smallest failing n is reported, whichever lane finds it
+        monkeypatch.setattr(closedform, "kappa_cyclic", wrong_when(False, (5, 6, 9)))
+        assert main(["verify", "--max-n", "12"]) == 1
+        assert capsys.readouterr().out == "FAIL: kappa(Z_5): closed form 126 != matrix-tree 125\n"
+        _no_child_left()
 
 
-def test_cmd_verify_checks_cap_first(capsys):
+def test_cmd_verify_checks_cap_first(monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("work before the cap check")
+
+    for target in (treecount, closedform):
+        monkeypatch.setattr(target, "exact_integer_determinant", refuse)
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(os, "fork", refuse)
     start = time.perf_counter()
     assert main(["verify", "--max-n", "20000"]) == 3
     assert time.perf_counter() - start < 5
     assert "cap" in capsys.readouterr().err
 
 
-def _record_pool_sizes(monkeypatch) -> list[int]:
-    """The sizes of the pools `verify` starts; the fake pool maps in this
-    process, so nothing forks."""
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, values):
-            return map(fn, values)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
-    return sizes
+def test_cmd_verify_has_no_jobs_option(capsys):
+    for argv in (["--jobs", "2"], ["--jobs", "0"], ["--jobs=1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--max-n", "3", *argv])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
-def test_cmd_verify_caps_jobs(monkeypatch, capsys):
-    sizes = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(cli, "usable_cores", lambda: 4)
-    for max_n, jobs in ((2, 100000), (12, 100000), (12, 3), (3, 1)):
-        assert main(["verify", "--max-n", str(max_n), "--jobs", str(jobs)]) == 0
-    assert sizes == [2, 4, 3]  # one worker runs serially, without a pool
-    monkeypatch.setattr(cli, "usable_cores", lambda: 1)
-    assert main(["verify", "--max-n", "3", "--jobs", "8"]) == 0
-    assert sizes == [2, 4, 3]
-    for jobs in ("0", "-5"):
-        assert main(["verify", "--max-n", "3", "--jobs", jobs]) == 2
-        assert "--jobs" in capsys.readouterr().err
+def test_cmd_verify_parallel(monkeypatch, capsys):
+    # the same output at every width, from one helper per lane but the first
+    monkeypatch.setattr(os, "fork", _counting_fork(os.fork))
+    for width in (1, 2, 3):
+        monkeypatch.setattr(numutil, "_lanes", lambda: width)
+        for max_n in (1, 2, 8):
+            _FORKS.clear()
+            assert main(["verify", "--max-n", str(max_n)]) == 0
+            assert capsys.readouterr().out == f"all n up to {max_n} verified\n"
+            assert len(_FORKS) == min(width, max_n) - 1
+    _no_child_left()
 
 
-def test_cmd_verify_jobs_count_the_affinity_mask(monkeypatch, capsys):
-    # pinned to one core of two, as under `taskset -c 0`
-    sizes = _record_pool_sizes(monkeypatch)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+def test_cmd_verify_on_one_core_forks_nothing(monkeypatch, capsys):
+    # as under `taskset -c 0`: the affinity mask holds one core
+    def refuse():
+        raise AssertionError("fork on one core")
+
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-    assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
-    assert sizes == []
-    # without an affinity call the machine's count stands, and no count means one
-    monkeypatch.delattr(os, "sched_getaffinity")
-    assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
-    assert sizes == [2]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert main(["verify", "--max-n", "3", "--jobs", "2"]) == 0
-    assert sizes == [2]
-
-
-def test_cmd_verify_parallel(capsys):
-    assert main(["verify", "--max-n", "8", "--jobs", "2"]) == 0
-    assert "all n up to 8 verified" in capsys.readouterr().out
+    monkeypatch.setattr(os, "fork", refuse)
+    assert main(["verify", "--max-n", "8"]) == 0
+    assert capsys.readouterr().out == "all n up to 8 verified\n"
 
 
 def test_cmd_divisor_graph_fig1(capsys):
@@ -684,20 +674,24 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
 
 def test_import_loads_only_what_a_default_call_uses():
     # none of these runs on a default call; the three powertree modules are
-    # read from sys.modules by the bench child right after the import
+    # read from sys.modules by the bench child right after the import. verify
+    # runs in forked lanes, which need no module for processes or pickling.
     unused = ("dataclasses", "inspect", "fractions", "decimal", "multiprocessing",
               "concurrent.futures", "socket", "subprocess")
     needed = ("powertree.closedform", "powertree.treecount", "powertree.numutil")
+    after_verify = ("multiprocessing", "concurrent.futures", "pickle")
     code = (
         "import powertree.cli, sys\n"
         f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
-        f"print(sorted(m for m in {needed!r} if m not in sys.modules))"
+        f"print(sorted(m for m in {needed!r} if m not in sys.modules))\n"
+        "powertree.cli.main(['verify', '--max-n', '12'])\n"
+        f"print(sorted(m for m in {after_verify!r} if m in sys.modules))"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out == "[]\n[]\n"
+    assert out == "[]\n[]\nall n up to 12 verified\n[]\n"
 
 
 @pytest.mark.parametrize(
@@ -763,6 +757,7 @@ def test_each_command_builds_its_group_once(monkeypatch, capsys):
         return build(spec)
 
     monkeypatch.setattr(cli, "build", counting_build)
+    monkeypatch.setattr(numutil, "_lanes", lambda: 1)  # a forked helper's builds are not logged
     assert main(["kappa", "sym:4", "--method", "all"]) == 0
     assert built == ["sym:4"]
     built.clear()

@@ -24,10 +24,12 @@ from powertree.errors import (
     NotEPO,
     NotPowerOfTwo,
     NotPrime,
+    OutOfRange,
     TooManyDivisors,
     TrivialGroup,
 )
 from powertree.groups import GroupSpec, build
+from powertree.numutil import try_factorize
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
 from powertree.treecount import TreeNumber, quotient_kappa, temperley_kappa
@@ -270,6 +272,41 @@ def test_kappa_semidirect_pq():
         kappa_semidirect_pq(7, 5)
     with pytest.raises(InvalidPair):
         kappa_semidirect_pq(3, 5)
+
+
+EPO_FAMILIES = [
+    *((f"elemabelian:{p}^{k}", kappa_elementary_abelian, (p, k))
+      for p, top in ((2, 9), (3, 5), (5, 3), (7, 2), (11, 2), (13, 1), (31, 2), (97, 1)) for k in range(1, top + 1)),
+    *((f"semidirect:{p}:{q}", kappa_semidirect_pq, (p, q))
+      for p, q in ((3, 2), (5, 2), (7, 2), (7, 3), (11, 5), (13, 3), (29, 7), (31, 5), (43, 7), (101, 5), (211, 7))),
+]
+
+
+@pytest.mark.parametrize("text, family, params", EPO_FAMILIES, ids=[t for t, _, _ in EPO_FAMILIES])
+def test_family_formulas_are_the_epo_count(text, family, params):
+    # every non-identity element has prime order, so closed_form takes the EPO
+    # count; each family's own formula stays a reproduced claim that meets it
+    spec = parse_group_spec(text)
+    g = build(spec)
+    chosen, claim = closed_form(spec, g, False), family(*params)
+    assert chosen.value == claim.value == kappa_epo(g).value
+    assert chosen.factored() == claim.factored()
+
+
+def test_nonpositive_sizes_raise_out_of_range():
+    calls = [
+        lambda: divisor_profile(0),
+        lambda: kappa_cyclic(0),
+        lambda: kappa_cyclic(-4),
+        lambda: kappa_dihedral(0),
+        lambda: kappa_cyclic_expansion(0),
+        lambda: kappa_elementary_abelian(2, 0),
+        lambda: kappa_elementary_abelian(4, -1),  # the rank is checked first
+        lambda: try_factorize(0),
+    ]
+    for call in calls:
+        with pytest.raises(OutOfRange):
+            call()
 
 
 def test_counted_factors_and_exact_division():

@@ -1,4 +1,5 @@
 import bisect
+import marshal
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from collections import deque
 from functools import lru_cache
 from math import gcd, prod
+from types import SimpleNamespace
 
 import pytest
 
@@ -500,6 +502,105 @@ def test_no_lanes_beside_other_threads():
     assert not waiter.is_alive()
     if hasattr(os, "sched_getaffinity"):
         assert numutil._lanes() == len(os.sched_getaffinity(0))
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+LANE_RESULTS = {
+    "int": lambda x: x * 3**x,
+    "None": lambda x: None,
+    "str": lambda x: "é" * x,
+    "tuple": lambda x: (x, None, str(x), (-x,)),
+    "int or None": lambda x: x if x % 2 else None,
+}
+
+
+@pytest.mark.parametrize("width", [1, 2, 3])
+@pytest.mark.parametrize("kind", LANE_RESULTS)
+def test_in_lanes_yields_in_item_order(monkeypatch, width, kind):
+    fn = LANE_RESULTS[kind]
+    monkeypatch.setattr(numutil, "_lanes", lambda: width)
+    monkeypatch.setattr(os, "fork", _counting_fork(os.fork))
+    for items in (range(0), range(1), range(2), range(7), range(60, 160)):
+        _FORKS.clear()
+        assert list(numutil.in_lanes(fn, items)) == [fn(x) for x in items]
+        assert len(_FORKS) == max(min(width, len(items)) - 1, 0)
+    _no_child_left()
+
+
+@pytest.mark.parametrize("written", [0, 1, 4])
+def test_in_lanes_runs_here_what_a_helper_leaves(monkeypatch, written):
+    here, ran_here, count = os.getpid(), [], [0]
+
+    def square_then_stop(x):
+        if os.getpid() == here:
+            ran_here.append(x)
+        else:
+            count[0] += 1
+            if count[0] > written:
+                raise RuntimeError("helper stops")
+        return x * x
+
+    monkeypatch.setattr(numutil, "_lanes", lambda: 3)
+    assert list(numutil.in_lanes(square_then_stop, range(30))) == [x * x for x in range(30)]
+    # lane 0 here, and each helper's share past its first `written` items
+    assert ran_here == [x for x in range(30) if x % 3 == 0 or x // 3 >= written]
+    _no_child_left()
+
+
+def test_in_lanes_runs_here_what_a_helper_garbles(monkeypatch):
+    here, ran_here = os.getpid(), []
+
+    def garble(value, pipe):
+        pipe.write(b"\xff" if value == 6 else marshal.dumps(value))
+
+    def double(x):
+        if os.getpid() == here:
+            ran_here.append(x)
+        return 2 * x
+
+    monkeypatch.setattr(numutil, "marshal", SimpleNamespace(dump=garble, load=marshal.load))
+    monkeypatch.setattr(numutil, "_lanes", lambda: 2)
+    assert list(numutil.in_lanes(double, range(8))) == [2 * x for x in range(8)]
+    # the helper's second result, of 3, is garbled
+    assert ran_here == [0, 2, 3, 4, 5, 6, 7]
+    _no_child_left()
+
+
+def test_closing_in_lanes_early_leaves_no_child(monkeypatch):
+    monkeypatch.setattr(numutil, "_lanes", lambda: 3)
+    monkeypatch.setattr(os, "fork", _counting_fork(os.fork))
+    _FORKS.clear()
+    lanes = numutil.in_lanes(lambda x: x + 1, range(1000))
+    assert [next(lanes) for _ in range(4)] == [1, 2, 3, 4]
+    lanes.close()
+    assert len(_FORKS) == 2
+    _no_child_left()
+    # an exception in this process ends the helpers too
+    lanes = numutil.in_lanes(lambda x: 1 // (x - 5), range(1000))
+    with pytest.raises(ZeroDivisionError):
+        list(lanes)
+    _no_child_left()
+
+
+def test_lanes_count_the_affinity_mask(monkeypatch):
+    # pinned to one core of two, as under `taskset -c 0`
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert numutil._lanes() == 1
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1, 3, 5}, raising=False)
+    assert numutil._lanes() == 3
+    # without an affinity call the machine's count stands, and no count means one
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert numutil._lanes() == 2
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert numutil._lanes() == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    monkeypatch.delattr(os, "fork")
+    assert numutil._lanes() == 1
 
 
 def test_phi():
