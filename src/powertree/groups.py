@@ -4,9 +4,12 @@ Every group is materialized on indices 0..order-1 with index 0 the identity. A g
 keeps one representation: its element list, the index of each element, and the
 multiplication oracle on elements (no Cayley table). A permutation is the byte string
 of its images, at most 256 points, and two compose by one bytes.translate. The group
-also owns its poset of cyclic subgroups as one record, a CyclicPoset, filled by one
-power walk per cyclic subgroup, or for Z_n written from the divisors of n; the power
-graph and the tree counts read only that record and each element's class in it.
+also owns its poset of cyclic subgroups as one record, a CyclicPoset, filled from the
+powers of one element per cyclic subgroup, or for Z_n written from the divisors of n;
+the power graph and the tree counts read only that record and each element's class in
+it. Each kind lists an element's powers by its own rule: a permutation through its own
+padded table, Z_n, D_2n and Q_4n by arithmetic, a direct product from its factors'
+powers, and the rest by multiplying.
 """
 
 from __future__ import annotations
@@ -15,7 +18,8 @@ import os
 from collections.abc import Callable
 from functools import cache
 from itertools import product as iproduct
-from math import factorial, gcd
+from math import factorial, gcd, lcm
+from operator import add
 from typing import NamedTuple
 
 from .errors import InvalidSpec, NotPrime, UnsupportedOrder
@@ -26,7 +30,8 @@ MAX_PERM_DEGREE = 8  # sym and alt
 MAX_PERM_POINTS = 256  # perm: a permutation is the byte string of its images
 MAX_PRODUCT_DEPTH = 100  # parse, build and render recurse once per level
 _POINTS = bytes(range(MAX_PERM_POINTS))
-_POINT_NAMES = [str(j + 1) for j in range(MAX_PERM_POINTS)]
+_CYCLE_OPENS = ["(" + str(j + 1) for j in range(MAX_PERM_POINTS)]  # a cycle's first point
+_CYCLE_POINTS = [" " + str(j + 1) for j in range(MAX_PERM_POINTS)]  # each point after it
 
 def max_order() -> int:
     """Configured order cap (env KAPPA_MAX_ORDER, default 10000)."""
@@ -75,14 +80,14 @@ def _cycle_notation(perm) -> str:
     for start, image in enumerate(perm):
         if image == start or seen >> start & 1:
             continue
-        cycle = "(" + _POINT_NAMES[start]
+        text += _CYCLE_OPENS[start]
         seen |= 1 << start
         j = image
         while j != start:
             seen |= 1 << j
-            cycle += " " + _POINT_NAMES[j]
+            text += _CYCLE_POINTS[j]
             j = perm[j]
-        text += cycle + ")"
+        text += ")"
     return text or "()"
 
 
@@ -125,36 +130,35 @@ class FiniteGroup:
         self.cyclic_class, self.poset = self._classes()
 
     def _classes(self) -> tuple[list[int], CyclicPoset]:
-        """(cyclic_class, poset) by one power walk per cyclic subgroup <x>, in
-        order of each subgroup's first element x."""
-        elements, index, mul = self._elements, self._index, self._mul_raw
+        """(cyclic_class, poset) from the powers of one element x per cyclic
+        subgroup <x>, in order of each subgroup's first element x."""
         orders, sizes, below = [], [], []
         cls = [-1] * self.order
-        for x in range(self.order):
-            if cls[x] != -1:
+        for x, seen in enumerate(cls):
+            if seen != -1:
                 continue
-            powers = [0]  # powers[k] = x^k
-            y = x
-            e = power = elements[x]
-            while y != 0:
-                powers.append(y)
-                power = mul(power, e)
-                y = index[power]
-            m = len(powers)
-            c, k_c, inside = len(orders), 0, []
-            for k in range(m):
-                d = gcd(k, m)
-                if d == 1:  # x^k generates <x> (k = 0 only for m = 1)
-                    cls[powers[k]] = c
-                    k_c += 1
-                elif d == k or d == m:  # k | m or k = 0: <x^k> is <x>'s one subgroup of order m / d
-                    inside.append(powers[k])
-            orders.append(m)
-            sizes.append(k_c)
-            below.append(inside)
+            powers = self.powers(x)  # powers[k] = x^k
+            generators, inside = _positions(len(powers))
+            c = len(orders)
+            for k in generators:
+                cls[powers[k]] = c
+            orders.append(len(powers))
+            sizes.append(len(generators))
+            below.append([powers[k] for k in inside])
         # the elements of `below` to their classes, now that all are known
-        below = tuple(tuple(map(cls.__getitem__, inside)) for inside in below)
+        below = tuple([tuple([cls[y] for y in inside]) for inside in below])
         return cls, CyclicPoset(tuple(orders), tuple(sizes), below)
+
+    def powers(self, i: int) -> list[int]:
+        """The indices of i^0, i^1, ..., i^(m-1), m the order of i, by multiplying."""
+        elements, index, mul = self._elements, self._index, self._mul_raw
+        powers, y = [0], i
+        e = power = elements[i]
+        while y != 0:
+            powers.append(y)
+            power = mul(power, e)
+            y = index[power]
+        return powers
 
     @property
     def cyclic_closure(self) -> list[frozenset[int]]:
@@ -176,6 +180,29 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
+@cache
+def _positions(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(generators, inside) for <x> of order m, as ascending exponents k of x^k:
+    the k with gcd(k, m) = 1, which generate <x> (k = 0 only for m = 1), and
+    k = 0 with each divisor 1 < k < m of m, x^k generating <x>'s one subgroup
+    of order m / k."""
+    if m == 1:
+        return (0,), ()
+    generators, inside = [], [0]
+    for k in range(1, m):
+        d = gcd(k, m)
+        if d == 1:
+            generators.append(k)
+        elif d == k:
+            inside.append(k)
+    return tuple(generators), tuple(inside)
+
+
+def _multiples(i: int, n: int) -> list[int]:
+    """i*k mod n for k = 0, 1, ...: the exponents of the powers of x^i in <x> of order n."""
+    return [k % n for k in range(0, lcm(i, n), i)] if i else [0]
+
+
 def _check_cap(order: int, what: str) -> None:
     cap = max_order()
     if order > cap:
@@ -194,6 +221,9 @@ class _CyclicGroup(FiniteGroup):
     """Z_n on 0..n-1, its classes written from the divisors of n, no power walk."""
 
     __slots__ = ()
+
+    def powers(self, i: int) -> list[int]:
+        return _multiples(i, self.order)
 
     def _classes(self) -> tuple[list[int], CyclicPoset]:
         """Numbered as the power walk numbers them. <i> = <gcd(i, n)>, and the
@@ -227,7 +257,6 @@ def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> Fi
     if n < 1:
         raise InvalidSpec(f"{kind} parameter needs n >= 1, got {n}")
     _check_cap(2 * m, name)
-    elements = [(i, j) for j in (0, 1) for i in range(m)]
 
     def mul(e1, e2):
         i1, j1 = e1
@@ -238,7 +267,28 @@ def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> Fi
             return ((i1 - i2) % m, 1)
         return ((i1 - i2 + square) % m, 0)
 
-    return FiniteGroup(name, elements, mul, lambda e: _rot_repr(*e))
+    return _RotationGroup(name, m, square, mul)
+
+
+class _RotationGroup(FiniteGroup):
+    """x of order m and y with y^2 = x^square, x^i y^j at index j*m + i; an
+    element's powers by arithmetic: (x^i y)^2 = x^square, so x^i y has order
+    2 when square = 0 and 4 otherwise."""
+
+    __slots__ = ("_square",)
+
+    def __init__(self, name, m, square, mul):
+        self._square = square
+        super().__init__(name, [(i, j) for j in (0, 1) for i in range(m)], mul,
+                         lambda e: _rot_repr(*e))
+
+    def powers(self, i: int) -> list[int]:
+        m, square = self.order // 2, self._square
+        if i < m:
+            return _multiples(i, m)
+        if square == 0:
+            return [0, i]
+        return [0, i, square, m + (i + square) % m]
 
 
 def _dihedral(n: int) -> FiniteGroup:
@@ -251,8 +301,10 @@ def _quaternion(n: int) -> FiniteGroup:
     return _rotations_and_flip("quaternion", n, 2 * n, n, f"Q_{4 * n}")
 
 
-def _tuple_repr(e: tuple[int, ...]) -> str:
-    return "(" + ",".join(map(str, e)) + ")"
+def _tuple_writer(n: int) -> Callable[[tuple[int, ...]], str]:
+    """The label writer of tuples of integers below n, '(a,b,...)', from n names made once."""
+    names = list(map(str, range(n)))
+    return lambda e: "(" + ",".join([names[x] for x in e]) + ")"
 
 
 def _elemabelian(p: int, k: int) -> FiniteGroup:
@@ -268,7 +320,7 @@ def _elemabelian(p: int, k: int) -> FiniteGroup:
         return tuple((x + y) % p for x, y in zip(a, b))
 
     name = f"Z_{p}" if k == 1 else f"Z_{p}^{k}"
-    return FiniteGroup(name, elements, mul, _tuple_repr)
+    return FiniteGroup(name, elements, mul, _tuple_writer(p))
 
 
 def _compose(a: bytes, b: bytes) -> bytes:
@@ -294,7 +346,23 @@ def _perm_closure(degree, generators, name):
                     if len(index) > cap:
                         raise UnsupportedOrder(f"{name} exceeds the order cap {cap}")
         frontier = nxt
-    return FiniteGroup(name, list(index), _compose, _cycle_notation, index)
+    return _PermGroup(name, list(index), _compose, _cycle_notation, index)
+
+
+class _PermGroup(FiniteGroup):
+    """A permutation group; x's powers step by one translate through x's padded table."""
+
+    __slots__ = ()
+
+    def powers(self, i: int) -> list[int]:
+        index = self._index
+        e = power = self._elements[i]
+        table = e + _POINTS[len(e):]
+        powers = [0]
+        while y := index[power]:
+            powers.append(y)
+            power = power.translate(table)
+        return powers
 
 
 def _symmetric(m: int) -> FiniteGroup:
@@ -343,7 +411,7 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
         a2, b2 = e2
         return ((a1 + a2 * rpow[b1]) % p, (b1 + b2) % q)
 
-    return FiniteGroup(f"Z_{p}⋊Z_{q}", elements, mul, _tuple_repr)
+    return FiniteGroup(f"Z_{p}⋊Z_{q}", elements, mul, _tuple_writer(p))
 
 
 def _permutation(degree: int, generators) -> FiniteGroup:
@@ -354,15 +422,34 @@ def _permutation(degree: int, generators) -> FiniteGroup:
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) gets index a * |h| + b."""
-    order = g.order * h.order
-    _check_cap(order, f"{g.name}×{h.name}")
-    elements = [(a, b) for a in range(g.order) for b in range(h.order)]
+    _check_cap(g.order * h.order, f"{g.name}×{h.name}")
+    return _ProductGroup(g, h)
 
-    def mul(e1, e2):
-        return (g.multiply(e1[0], e2[0]), h.multiply(e1[1], e2[1]))
 
-    left, right = cache(g.element_repr), cache(h.element_repr)  # each factor label once
-    return FiniteGroup(f"{g.name}×{h.name}", elements, mul, lambda e: f"({left(e[0])},{right(e[1])})")
+class _ProductGroup(FiniteGroup):
+    """G×H, (a, b) at index a*|H| + b; (a, b)^k = (a^k, b^k), so its powers
+    come from the factors' powers by index arithmetic."""
+
+    __slots__ = ("_factors",)
+
+    def __init__(self, g, h):
+        self._factors = g, h
+        elements = [(a, b) for a in range(g.order) for b in range(h.order)]
+
+        def mul(e1, e2):
+            return (g.multiply(e1[0], e2[0]), h.multiply(e1[1], e2[1]))
+
+        left, right = cache(g.element_repr), cache(h.element_repr)  # each factor label once
+        super().__init__(f"{g.name}×{h.name}", elements, mul,
+                         lambda e: f"({left(e[0])},{right(e[1])})")
+
+    def powers(self, i: int) -> list[int]:
+        g, h = self._factors
+        a, b = divmod(i, h.order)
+        left, right = g.powers(a), h.powers(b)
+        m = lcm(len(left), len(right))
+        shifted = [x * h.order for x in left]
+        return list(map(add, shifted * (m // len(left)), right * (m // len(right))))
 
 
 class Kind(NamedTuple):

@@ -256,15 +256,18 @@ def temperley_kappa(graph) -> TreeNumber:
     return TreeNumber(q)
 
 
-def _root_deleted_determinant(adj: list[dict], kept) -> int:
-    """det(L(G - r) + diag(w(v, r))) for the graph G on `kept`.
+def _root_deleted_determinant(adj: list[dict], kept) -> tuple[int, int, int]:
+    """(det, pivots, updates): det(L(G - r) + diag(w(v, r))) for the graph G
+    on `kept`, with the pivots taken and the entries they updated.
 
     `adj[v]` maps each neighbour u of v to the Laplacian entry -w(u, v) and
     is consumed. The root r is the vertex of most neighbours. The pivots
     come in minimum-degree order from a bucket queue; a zero pivot gives 0.
-    Every entry, and the pivot product, is a pair (numerator, denominator)
-    of ints, reduced by one gcd when it is stored; the denominators stay
-    positive because the pivots of a positive semidefinite matrix are.
+    A pivot with k neighbours updates k(k + 1)/2 entries: k diagonal ones
+    and one per pair of neighbours. Every entry, and the pivot product, is
+    a pair (numerator, denominator) of ints, reduced by one gcd when it is
+    stored; the denominators stay positive because the pivots of a positive
+    semidefinite matrix are.
     """
     root = max(kept, key=lambda v: len(adj[v]))
     diag = {v: (-sum(adj[v].values()), 1) for v in kept}
@@ -277,19 +280,21 @@ def _root_deleted_determinant(adj: list[dict], kept) -> int:
     for v, row in rows.items():
         buckets[len(row)].add(v)
     det_n, det_d = 1, 1
-    low = 0
+    low = pivots = updates = 0
     for _ in range(len(rows)):
         while not buckets[low]:
             low += 1
         v = buckets[low].pop()
         pn, pd = diag[v]
         if not pn:
-            return 0
+            return 0, pivots, updates
         n, d = det_n * pn, det_d * pd
         g = gcd(n, d)
         det_n, det_d = n // g, d // g
         row = rows.pop(v)
         nbrs = list(row.items())
+        pivots += 1
+        updates += len(nbrs) * (len(nbrs) + 1) // 2
         for a, _ in nbrs:
             buckets[len(rows[a])].discard(a)
         for i, (a, (xn, xd)) in enumerate(nbrs):
@@ -325,7 +330,7 @@ def _root_deleted_determinant(adj: list[dict], kept) -> int:
             f"pivot product of {det_n.bit_length()} bits over"
             f" {det_d.bit_length()} bits is not an integer"
         )
-    return det_n
+    return det_n, pivots, updates
 
 
 def quotient_kappa(poset, reduced: bool = False) -> TreeNumber:
@@ -368,7 +373,7 @@ def quotient_kappa(poset, reduced: bool = False) -> TreeNumber:
                 adj[c][d] = adj[d][c] = -sizes[c] * sizes[d]
     kept = range(drop, len(sizes))
     # d_C + 1 = |C| + (generators above C), less the identity when reduced
-    num = _root_deleted_determinant(adj, kept) * prod(
+    num = _root_deleted_determinant(adj, kept)[0] * prod(
         (orders[c] - drop + up[c]) ** (sizes[c] - 1) for c in kept
     )
     value, rem = divmod(num, prod(sizes[c] for c in kept))

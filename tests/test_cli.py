@@ -479,7 +479,8 @@ def test_cmd_verify_has_no_jobs_option(capsys):
 
 
 def test_cmd_verify_parallel(monkeypatch, capsys):
-    # the same output at every width, from one helper per lane but the first
+    # the same output at every width, from one helper per lane but the first;
+    # the lanes take n in pairs, so max_n = 2 is one item and forks nothing
     monkeypatch.setattr(os, "fork", _counting_fork(os.fork))
     for width in (1, 2, 3):
         monkeypatch.setattr(numutil, "_lanes", lambda: width)
@@ -487,7 +488,41 @@ def test_cmd_verify_parallel(monkeypatch, capsys):
             _FORKS.clear()
             assert main(["verify", "--max-n", str(max_n)]) == 0
             assert capsys.readouterr().out == f"all n up to {max_n} verified\n"
-            assert len(_FORKS) == min(width, max_n) - 1
+            assert len(_FORKS) == min(width, (max_n + 1) // 2) - 1
+    _no_child_left()
+
+
+def test_cmd_verify_deals_pairs_and_reports_the_smallest_n(monkeypatch, capsys):
+    from powertree.treecount import TreeNumber
+
+    real = closedform.kappa_cyclic
+    dealt = []
+
+    def in_lanes(fn, items):
+        dealt.append([tuple(ns) for ns in items])
+        return numutil.in_lanes(fn, items)
+
+    def wrong_at(*wrong):
+        def kappa_cyclic(n, reduced=False):
+            value = real(n, reduced)
+            return TreeNumber(value.value + 1) if n in wrong else value
+        return kappa_cyclic
+
+    monkeypatch.setattr(cli, "in_lanes", in_lanes)
+    assert main(["verify", "--max-n", "7"]) == 0
+    assert dealt == [[(1, 2), (3, 4), (5, 6), (7,)]]
+    capsys.readouterr()
+    expected = {1: "closed form 2 != matrix-tree 1", 4: "closed form 17 != matrix-tree 16",
+                7: "closed form 16808 != matrix-tree 16807", 8: "closed form 262145 != matrix-tree 262144",
+                9: "closed form 4782970 != matrix-tree 4782969"}
+    for width in (1, 2, 3):
+        monkeypatch.setattr(numutil, "_lanes", lambda: width)
+        # both members of a pair, the second only, an odd max_n's lone last n
+        for wrong, max_n, first in (((7, 8), 9, 7), ((8, 9), 9, 8), ((4, 9), 9, 4),
+                                    ((9,), 9, 9), ((1, 2), 1, 1)):
+            monkeypatch.setattr(closedform, "kappa_cyclic", wrong_at(*wrong))
+            assert main(["verify", "--max-n", str(max_n)]) == 1
+            assert capsys.readouterr().out == f"FAIL: kappa(Z_{first}): {expected[first]}\n"
     _no_child_left()
 
 

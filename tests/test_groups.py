@@ -1,6 +1,7 @@
 import tracemalloc
 from collections import Counter
 from itertools import permutations
+from math import gcd
 
 import pytest
 
@@ -13,6 +14,7 @@ from powertree.groups import (
     _compose,
     _cycle_notation,
     _permutation,
+    _positions,
     build,
     count_cyclic_subgroups,
     direct_product,
@@ -20,6 +22,7 @@ from powertree.groups import (
 )
 from powertree.numutil import divisors, phi
 from powertree.specparse import parse_group_spec
+from test_acceptance import CATALOG_UP_TO_60
 
 # Exercised (order <= 64) for the full associativity/identity/inverse sweep.
 AXIOM_SPECS = [
@@ -270,6 +273,70 @@ def test_cyclic_classes_from_divisors_match_the_power_walk(ns):
         g, walked = build(GroupSpec("cyclic", (n,))), _walked_cyclic(n)
         assert g.cyclic_class == walked.cyclic_class, n
         assert g.poset == walked.poset, n
+
+
+def multiply_walk(g, i):
+    """The indices of i^0, i^1, ... up to the identity, by repeated multiply."""
+    powers, y = [0], i
+    while y != 0:
+        powers.append(y)
+        y = g.multiply(y, i)
+    return powers
+
+
+def check_powers(g):
+    for i in range(g.order):
+        assert g.powers(i) == multiply_walk(g, i), (g.name, i)
+
+
+NESTED_PRODUCT_SPECS = [
+    "product:(cyclic:2)x(product:(cyclic:2)x(cyclic:2))",
+    "product:(product:(cyclic:2)x(cyclic:3))x(dihedral:4)",
+    "product:(product:(sym:3)x(quaternion:2))x(product:(cyclic:4)x(dihedral:3))",
+    "product:(semidirect:7:3)x(product:(elemabelian:2^2)x(alt:4))",
+    "product:(perm:6:(1 2 3);(4 5 6);(2 3)(5 6))x(product:(quaternion:3)x(cyclic:5))",
+]
+POWERS_SPECS = {
+    "partition": PARTITION_SPECS,
+    "catalog": list(CATALOG_UP_TO_60),
+    "nested": NESTED_PRODUCT_SPECS,
+    "dihedral-2-200": [f"dihedral:{n}" for n in range(1, 101)],
+    "quaternion-4-200": [f"quaternion:{n}" for n in range(1, 51)],
+}
+
+
+@pytest.mark.parametrize("texts", POWERS_SPECS.values(), ids=POWERS_SPECS.keys())
+def test_powers_match_the_multiply_walk(texts):
+    for text in texts:
+        check_powers(_build(text))
+
+
+def test_positions_match_the_gcd_loop():
+    for m in range(1, 421):
+        generators, inside = [], []
+        for k in range(m):
+            d = gcd(k, m)
+            if d == 1:
+                generators.append(k)
+            elif d == k or d == m:
+                inside.append(k)
+        assert _positions(m) == (tuple(generators), tuple(inside)), m
+
+
+def test_product_build_multiplies_only_to_check_the_identity(monkeypatch):
+    calls = Counter()  # multiply calls per group name
+    multiply = FiniteGroup.multiply
+
+    def counting(self, a, b):
+        calls[self.name] += 1
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "multiply", counting)
+    g = _build("product:(sym:5)x(cyclic:60)")
+    # each group checks its identity on at most three elements, both sides,
+    # and each product multiply takes one multiply in each factor
+    assert calls[g.name] <= 6
+    assert calls["S_5"] <= 6 + calls[g.name] and calls["Z_60"] <= 6 + calls[g.name]
 
 
 def test_cyclic_build_runs_no_power_walk(monkeypatch):

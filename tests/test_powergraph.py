@@ -286,7 +286,7 @@ def _per_edge_json(graph):
     payload = {
         "vertices": graph.vertex_count,
         "edges": [[u, v] for u, v in _bitwise_edges(graph)],
-        "labels": {str(v): graph.label(v) for v in range(graph.vertex_count)},
+        "labels": {str(v): graph.group.element_repr(v + graph.first) for v in range(graph.vertex_count)},
     }
     return json.dumps(payload, ensure_ascii=False, separators=(", ", ": "))
 
@@ -295,7 +295,7 @@ def _per_edge_dot(graph):
     """Reference DOT emitter: one line per vertex, then one line per edge."""
     lines = [f'graph "{graph.name}" {{']
     for v in range(graph.vertex_count):
-        lines.append(f'  {v} [label="{graph.label(v)}"];')
+        lines.append(f'  {v} [label="{graph.group.element_repr(v + graph.first)}"];')
     for u, v in _bitwise_edges(graph):
         lines.append(f"  {u} -- {v};")
     lines.append("}")
@@ -401,6 +401,26 @@ GOLDEN_GRAPH_SHA1 = [
     (("sym:6", "dot", False), "879fa66c600d08c55b419d824b332df0ee9471c8"),
     (("dihedral:500", "dot", False), "8204bef78e2cb66006ceba4b573055bcd1b25ffd"),
     (("sym:7", "json", True), "9cb2232b79928ebd6772f6b2ad66c9eeaf374726"),
+    # the rest of the graph-export specs' outputs in both formats, full and
+    # reduced, recorded before each group kind listed its own powers
+    (("sym:6", "json", True), "5c0f721af2c525ed2c7e55a477c77c74815434b4"),
+    (("sym:6", "dot", True), "c472e946619c8dae7f1b5060f14f776f8d66a560"),
+    (("dihedral:500", "json", True), "f5decc28ec71216f4375862f19cf3820e5b01951"),
+    (("dihedral:500", "dot", True), "80ca1f0c5c55e46d5a1012bff774ec6ba2a6a0e2"),
+    (("quaternion:250", "json", True), "bce6e8137632009aabc72151693e682b488e9dae"),
+    (("quaternion:250", "dot", False), "e8761fd6ff9131434041c1aa307f9951e4a6bc0e"),
+    (("quaternion:250", "dot", True), "e078d4693c390e4c1fe1b5db93a58ff0c04937ba"),
+    (("product:(sym:5)x(cyclic:12)", "json", True), "94d8cc892e5d67fbe417cbb1316679ffb2362048"),
+    (("product:(sym:5)x(cyclic:12)", "dot", False), "4cc94dae5af4a17be1c43511e0b0f79d48730f4d"),
+    (("product:(sym:5)x(cyclic:12)", "dot", True), "bc4d10dc7da52b55a8ad5036e100a88d3bc6ea69"),
+    (("alt:7", "json", True), "574f7f9622b88ea12c6e2e3b05f5aa43af0d4c67"),
+    (("alt:7", "dot", False), "4893fdcd710bf1b9506acebc8952e735902e64c3"),
+    (("alt:7", "dot", True), "2353ebac7a40c24ba25f11754eae53f3fc2f8913"),
+    (("elemabelian:3^7", "json", True), "4de440e7d1bc856cd8ed87e8cc6ecdfc88401bd0"),
+    (("elemabelian:3^7", "dot", False), "5db5326174955578e6b6c53d5408eec74b25a294"),
+    (("elemabelian:3^7", "dot", True), "8b4af48e051b1b32ffa65e6519ab4e68163399d9"),
+    (("sym:7", "dot", False), "f044e3b6d28e577daadbb212b184bf43e2f3ea79"),
+    (("sym:7", "dot", True), "5ebbb1b14f1832d63ce314715a7cd802820716dd"),
 ]
 
 
@@ -498,6 +518,26 @@ def test_emitters_write_to_a_stream_what_they_return(text):
             out = io.StringIO()
             assert emit(graph, out) is None
             assert out.getvalue() == emit(graph)
+
+
+class _CountingWriter(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+
+def test_emitters_write_in_batches():
+    graph = _graph("dihedral:500")  # 112 230 edges
+    for emit in (to_json, to_dot):
+        out = _CountingWriter()
+        assert emit(graph, out) is None
+        text = emit(graph)
+        assert out.getvalue() == text
+        assert out.writes <= -(-len(text) // 65_536) + 1, (emit, out.writes, len(text))
 
 
 @pytest.mark.parametrize("fmt", ["json", "dot"])

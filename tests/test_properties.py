@@ -1,14 +1,15 @@
 """Property checks on random permutation groups of degree <= 5.
 
 Every route must give the same count, the cyclic-subgroup partition must
-match per-element closures, the power graph must follow the pairwise
+match per-element closures, each element's powers must match repeated
+multiplication, in products of two such groups too, the power graph must follow the pairwise
 containment rule, and every command line must end in an exit code
 rather than an exception escaping `main`.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from test_groups import _check_cyclic_partition, assert_same_closure
+from test_groups import _check_cyclic_partition, assert_same_closure, check_powers
 from test_powergraph import _check_matches_pairwise_rule, _check_renders_like_per_edge, _pairwise_rows
 
 from powertree.cli import main
@@ -72,3 +73,13 @@ def test_cli_kappa_all_methods_returns_exit_code(spec, reduced):
 @given(perm_specs())
 def test_closure_matches_tuple_reference_on_random_perm_groups(spec):
     assert_same_closure(spec)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(perm_specs(), perm_specs())
+def test_powers_match_the_multiply_walk_on_random_perm_pairs(a, b):
+    g, h = build(a), build(b)
+    assume(g.order * h.order <= 3000)
+    check_powers(g)
+    check_powers(h)
+    check_powers(build(GroupSpec("product", factors=(a, b))))

@@ -446,11 +446,43 @@ def _weighted_adj(n, edges):
     return adj
 
 
+# (pivots, Schur updates) of quotient_kappa's elimination, full and reduced,
+# counted before products listed their powers from their factors' powers.
+# They move only when the class numbering or the elimination order changes.
+# P*(S_7) is disconnected, so its first pivot is zero.
+ELIMINATION_WORK = [
+    ("sym:7", (2038, 9380), (0, 0)),
+    ("quaternion:2500", (2519, 3055), (2518, 427)),
+    ("cyclic:9240", (63, 13744), (62, 12588)),
+    ("product:(sym:5)x(cyclic:60)", (1091, 27068), (1090, 22348)),
+    ("product:(alt:6)x(cyclic:24)", (1675, 15850), (1674, 11879)),
+    ("product:(dihedral:12)x(cyclic:360)", (511, 51733), (510, 46887)),
+    ("product:(cyclic:6)x(product:(cyclic:30)x(cyclic:30))", (783, 214179), (782, 205050)),
+]
+
+
+@pytest.mark.parametrize("text, full, reduced", ELIMINATION_WORK, ids=[w[0] for w in ELIMINATION_WORK])
+def test_elimination_work_is_pinned(text, full, reduced, monkeypatch):
+    counted = []
+    kernel = treecount._root_deleted_determinant
+
+    def counting(adj, kept):
+        result = kernel(adj, kept)
+        counted.append(result[1:])
+        return result
+
+    monkeypatch.setattr(treecount, "_root_deleted_determinant", counting)
+    poset = build(parse_group_spec(text)).poset
+    quotient_kappa(poset)
+    quotient_kappa(poset, reduced=True)
+    assert counted == [full, reduced]
+
+
 def test_root_deleted_determinant_on_weighted_graphs():
     # the root is 0; pivots 5 (vertex 1) and 12 (vertex 3) leave vertex 2 the
     # fractional pivot 9 - 9/5 - 25/12 = 307/60, and 5 * 12 * 307/60 = 307
     cycle = [(0, 1, 2), (1, 2, 3), (2, 3, 5), (3, 0, 7), (0, 2, 1)]
-    assert _root_deleted_determinant(_weighted_adj(4, cycle), range(4)) == 307
+    assert _root_deleted_determinant(_weighted_adj(4, cycle), range(4)) == (307, 3, 2)
     assert _root_deleted_oracle(4, cycle) == 307
     rng = random.Random(7)
     for _ in range(30):
@@ -461,11 +493,11 @@ def test_root_deleted_determinant_on_weighted_graphs():
             for v in range(u + 1, n)
             if rng.random() < 0.6
         ]
-        got = _root_deleted_determinant(_weighted_adj(n, edges), range(n))
+        got = _root_deleted_determinant(_weighted_adj(n, edges), range(n))[0]
         assert got == _root_deleted_oracle(n, edges), edges
     # two components: a zero pivot, and the count is 0
     split = [(0, 1, 4), (0, 2, 3), (1, 2, 2), (3, 4, 6)]
-    assert _root_deleted_determinant(_weighted_adj(5, split), range(5)) == 0
+    assert _root_deleted_determinant(_weighted_adj(5, split), range(5))[0] == 0
     assert _root_deleted_oracle(5, split) == 0
 
 
