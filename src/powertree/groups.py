@@ -1,15 +1,16 @@
 """Finite group catalog: cyclic, dihedral, dicyclic, abelian and permutation groups.
 
-Every group is materialized on indices 0..order-1 with index 0 the identity. A group
-keeps one representation: its element list, the index of each element, and the
-multiplication oracle on elements (no Cayley table). A permutation is the byte string
-of its images, at most 256 points, and two compose by one bytes.translate. The group
-also owns its poset of cyclic subgroups as one record, a CyclicPoset, filled from the
-powers of one element per cyclic subgroup, or for Z_n written from the divisors of n;
-the power graph and the tree counts read only that record and each element's class in
-it. Each kind lists an element's powers by its own rule: a permutation through its own
-padded table, Z_n, D_2n and Q_4n by arithmetic, a direct product from its factors'
-powers, and the rest by multiplying.
+An element is its index in 0..order-1, index 0 the identity. A group keeps a
+multiplication and a label function on indices (no Cayley table, no element objects):
+Z_n, D_2n, Q_4n, pq groups, elementary abelian groups and direct products multiply by
+index arithmetic. Only a permutation group keeps its elements, each the byte string of
+its images on at most 256 points, and the index of each; two compose by one
+bytes.translate. The group also owns its poset of cyclic subgroups as one record, a
+CyclicPoset, filled from the powers of one element per cyclic subgroup, or for Z_n
+written from the divisors of n; the power graph and the tree counts read only that
+record and each element's class in it. Each kind lists an element's powers by its own
+rule: a permutation through its own padded table, Z_n, D_2n and Q_4n by arithmetic, a
+direct product from its factors' powers, and the rest by multiplying.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from __future__ import annotations
 import os
 from collections.abc import Callable
 from functools import cache
-from itertools import product as iproduct
 from math import factorial, gcd, lcm
 from operator import add
 from typing import NamedTuple
@@ -109,23 +109,20 @@ class FiniteGroup:
     cyclic_class[i] is the class of <i> in `poset`, the one record of the
     cyclic subgroups; classes are numbered in order of their first element,
     and the elements of one class are the generators of its subgroup.
+    mul(a, b) is the index of the product of elements a and b, and
     element_repr(i) is element i's text, made by `label` only when asked.
-    `index`, when given, is the element-to-index mapping of `elements`.
     """
 
-    __slots__ = ("name", "order", "poset", "cyclic_class", "_elements", "_index", "_mul_raw", "_label")
+    __slots__ = ("name", "order", "poset", "cyclic_class", "_mul", "_label")
 
-    def __init__(self, name, elements, mul, label, index=None):
+    def __init__(self, name, order, mul, label):
         self.name = name
-        self.order = len(elements)
-        if self.order == 0:
+        self.order = order
+        if order < 1:
             raise InvalidSpec("a group needs at least the identity element")
-        self._label = label
-        self._elements = elements = list(elements)
-        self._index = index = index or {e: i for i, e in enumerate(elements)}
-        self._mul_raw = mul
-        for i in {1, self.order - 1, self.order // 2} & set(range(self.order)):
-            if self.multiply(0, i) != i or self.multiply(i, 0) != i:
+        self._mul, self._label = mul, label
+        for i in {1, order - 1, order // 2}:
+            if i < order and (self.multiply(0, i) != i or self.multiply(i, 0) != i):
                 raise InvalidSpec(f"element 0 of {name} is not the identity")
         self.cyclic_class, self.poset = self._classes()
 
@@ -134,11 +131,14 @@ class FiniteGroup:
         subgroup <x>, in order of each subgroup's first element x."""
         orders, sizes, below = [], [], []
         cls = [-1] * self.order
+        positions = {}  # _positions(m) per order m met in this group
         for x, seen in enumerate(cls):
             if seen != -1:
                 continue
             powers = self.powers(x)  # powers[k] = x^k
-            generators, inside = _positions(len(powers))
+            if (m := len(powers)) not in positions:
+                positions[m] = _positions(m)
+            generators, inside = positions[m]
             c = len(orders)
             for k in generators:
                 cls[powers[k]] = c
@@ -151,13 +151,11 @@ class FiniteGroup:
 
     def powers(self, i: int) -> list[int]:
         """The indices of i^0, i^1, ..., i^(m-1), m the order of i, by multiplying."""
-        elements, index, mul = self._elements, self._index, self._mul_raw
+        mul = self._mul
         powers, y = [0], i
-        e = power = elements[i]
         while y != 0:
             powers.append(y)
-            power = mul(power, e)
-            y = index[power]
+            y = mul(y, i)
         return powers
 
     @property
@@ -171,16 +169,15 @@ class FiniteGroup:
         return [members[c] for c in self.cyclic_class]
 
     def multiply(self, a: int, b: int) -> int:
-        return self._index[self._mul_raw(self._elements[a], self._elements[b])]
+        return self._mul(a, b)
 
     def element_repr(self, i: int) -> str:
-        return self._label(self._elements[i])
+        return self._label(i)
 
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-@cache
 def _positions(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(generators, inside) for <x> of order m, as ascending exponents k of x^k:
     the k with gcd(k, m) = 1, which generate <x> (k = 0 only for m = 1), and
@@ -213,8 +210,7 @@ def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, f"Z_{n}")
-    return _CyclicGroup(f"Z_{n}", range(n), lambda a, b: (a + b) % n,
-                        lambda i: _rot_repr(i, 0), range(n))
+    return _CyclicGroup(f"Z_{n}", n, lambda a, b: (a + b) % n, lambda i: _rot_repr(i, 0))
 
 
 class _CyclicGroup(FiniteGroup):
@@ -257,17 +253,7 @@ def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> Fi
     if n < 1:
         raise InvalidSpec(f"{kind} parameter needs n >= 1, got {n}")
     _check_cap(2 * m, name)
-
-    def mul(e1, e2):
-        i1, j1 = e1
-        i2, j2 = e2
-        if j1 == 0:
-            return ((i1 + i2) % m, j2)
-        if j2 == 0:
-            return ((i1 - i2) % m, 1)
-        return ((i1 - i2 + square) % m, 0)
-
-    return _RotationGroup(name, m, square, mul)
+    return _RotationGroup(name, m, square)
 
 
 class _RotationGroup(FiniteGroup):
@@ -277,10 +263,17 @@ class _RotationGroup(FiniteGroup):
 
     __slots__ = ("_square",)
 
-    def __init__(self, name, m, square, mul):
+    def __init__(self, name, m, square):
         self._square = square
-        super().__init__(name, [(i, j) for j in (0, 1) for i in range(m)], mul,
-                         lambda e: _rot_repr(*e))
+
+        def mul(a, b):
+            if a < m:  # x^i1 x^i2 y^j2
+                return b - b % m + (a + b) % m
+            if b < m:  # x^i1 y x^i2 = x^(i1-i2) y
+                return m + (a - b) % m
+            return (a - b + square) % m  # x^i1 y x^i2 y = x^(i1-i2) y^2
+
+        super().__init__(name, 2 * m, mul, lambda i: _rot_repr(i % m, i // m))
 
     def powers(self, i: int) -> list[int]:
         m, square = self.order // 2, self._square
@@ -301,12 +294,6 @@ def _quaternion(n: int) -> FiniteGroup:
     return _rotations_and_flip("quaternion", n, 2 * n, n, f"Q_{4 * n}")
 
 
-def _tuple_writer(n: int) -> Callable[[tuple[int, ...]], str]:
-    """The label writer of tuples of integers below n, '(a,b,...)', from n names made once."""
-    names = list(map(str, range(n)))
-    return lambda e: "(" + ",".join([names[x] for x in e]) + ")"
-
-
 def _elemabelian(p: int, k: int) -> FiniteGroup:
     if not is_prime(p):
         raise InvalidSpec(f"elementary abelian base must be prime, got {p}")
@@ -314,13 +301,18 @@ def _elemabelian(p: int, k: int) -> FiniteGroup:
         raise InvalidSpec(f"elementary abelian rank needs k >= 1, got {k}")
     order = p**k
     _check_cap(order, f"Z_{p}^{k}")
-    elements = list(iproduct(range(p), repeat=k))
+    # element i is the tuple of its k base-p digits, most significant first
+    places = [p**j for j in reversed(range(k))]
+    names = list(map(str, range(p)))
 
-    def mul(a, b):
-        return tuple((x + y) % p for x, y in zip(a, b))
+    def mul(a, b):  # digit by digit, mod p
+        return sum((a // w + b // w) % p * w for w in places)
+
+    def label(i):
+        return "(" + ",".join([names[i // w % p] for w in places]) + ")"
 
     name = f"Z_{p}" if k == 1 else f"Z_{p}^{k}"
-    return FiniteGroup(name, elements, mul, _tuple_writer(p))
+    return FiniteGroup(name, order, mul, label)
 
 
 def _compose(a: bytes, b: bytes) -> bytes:
@@ -346,13 +338,20 @@ def _perm_closure(degree, generators, name):
                     if len(index) > cap:
                         raise UnsupportedOrder(f"{name} exceeds the order cap {cap}")
         frontier = nxt
-    return _PermGroup(name, list(index), _compose, _cycle_notation, index)
+    return _PermGroup(name, list(index), index)
 
 
 class _PermGroup(FiniteGroup):
-    """A permutation group; x's powers step by one translate through x's padded table."""
+    """A permutation group, the one kind that keeps its elements: element i is
+    the byte string elements[i], and index maps each back to its index. x's
+    powers step by one translate through x's padded table."""
 
-    __slots__ = ()
+    __slots__ = ("_elements", "_index")
+
+    def __init__(self, name, elements, index):
+        self._elements, self._index = elements, index
+        super().__init__(name, len(elements), lambda a, b: index[_compose(elements[a], elements[b])],
+                         lambda i: _cycle_notation(elements[i]))
 
     def powers(self, i: int) -> list[int]:
         index = self._index
@@ -404,14 +403,13 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
     _check_cap(p * q, f"Z_{p}:Z_{q}")
     r = next(r for r in range(2, p) if pow(r, q, p) == 1)
     rpow = [pow(r, b, p) for b in range(q)]
-    elements = [(a, b) for a in range(p) for b in range(q)]
 
-    def mul(e1, e2):
-        a1, b1 = e1
-        a2, b2 = e2
-        return ((a1 + a2 * rpow[b1]) % p, (b1 + b2) % q)
+    def mul(e1, e2):  # (a, b) at a*q + b
+        a1, b1 = divmod(e1, q)
+        a2, b2 = divmod(e2, q)
+        return (a1 + a2 * rpow[b1]) % p * q + (b1 + b2) % q
 
-    return FiniteGroup(f"Z_{p}⋊Z_{q}", elements, mul, _tuple_writer(p))
+    return FiniteGroup(f"Z_{p}⋊Z_{q}", p * q, mul, lambda i: "(%d,%d)" % divmod(i, q))
 
 
 def _permutation(degree: int, generators) -> FiniteGroup:
@@ -434,14 +432,16 @@ class _ProductGroup(FiniteGroup):
 
     def __init__(self, g, h):
         self._factors = g, h
-        elements = [(a, b) for a in range(g.order) for b in range(h.order)]
+        n = h.order
 
         def mul(e1, e2):
-            return (g.multiply(e1[0], e2[0]), h.multiply(e1[1], e2[1]))
+            a1, b1 = divmod(e1, n)
+            a2, b2 = divmod(e2, n)
+            return g.multiply(a1, a2) * n + h.multiply(b1, b2)
 
         left, right = cache(g.element_repr), cache(h.element_repr)  # each factor label once
-        super().__init__(f"{g.name}×{h.name}", elements, mul,
-                         lambda e: f"({left(e[0])},{right(e[1])})")
+        super().__init__(f"{g.name}×{h.name}", g.order * n, mul,
+                         lambda i: f"({left(i // n)},{right(i % n)})")
 
     def powers(self, i: int) -> list[int]:
         g, h = self._factors

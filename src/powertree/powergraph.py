@@ -8,10 +8,11 @@ up two classes in it, the vertex and edge counts, completeness and connectivity
 come from the classes and their inclusions, and the clique number is the
 most vertices on a chain of cyclic subgroups. Edge walks and degrees read
 one sorted closed neighbourhood per cyclic subgroup, shared by its
-generators and built on first use, so a walk costs time in proportion to
-the edges it lists. The emitters list each class's neighbour names once and
-give each vertex its slice, take the labels straight from the element list,
-and write to a stream in batches of about 64 KB.
+generators and built on first use. One walker lists each class's
+neighbours once and gives each vertex the slice after itself, so a walk
+costs time in proportion to the edges it lists; the edge list and both
+emitters read it. The emitters ask the group for each vertex's label and
+write to a stream in batches of about 64 KB.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class PowerGraph:
         return len(self._neighbourhoods()[self.group.cyclic_class[v + self.first]]) - 1
 
     def edges(self):
-        return ((u, v) for u, later in self._later_neighbours() for v in later)
+        return ((u, v) for u, later in _later_names(self, range(self.vertex_count)) for v in later)
 
     def edge_count(self) -> int:
         """From the subgroup poset. The k generators of a cyclic subgroup D that
@@ -81,14 +82,6 @@ class PowerGraph:
         if self._closed is None:
             self._closed = _closed_neighbourhoods(self.group, self.first)
         return self._closed
-
-    def _later_neighbours(self):
-        """Yield (u, sorted neighbours v > u) per vertex u, sliced from its
-        class's closed neighbourhood."""
-        closed = self._neighbourhoods()
-        for u, c in enumerate(self.group.cyclic_class[self.first:]):
-            nb = closed[c]
-            yield u, nb[bisect_right(nb, u):]
 
     def __repr__(self):
         return f"PowerGraph({self.name}, n={self.vertex_count}, m={self.edge_count()})"
@@ -166,10 +159,11 @@ def to_dot(graph: PowerGraph, out=None) -> str | None:
     return _emit(graph, _dot_chunks, out)
 
 
-def _later_names(graph: PowerGraph, names: list[str]):
+def _later_names(graph: PowerGraph, names):
     """Yield (names[u], the sorted names of u's neighbours v > u) for each
     vertex u that has any: each class's neighbour names are listed once, and
-    a vertex gets the slice after itself."""
+    a vertex gets the slice after itself. `names` is indexed by vertex, its
+    decimal texts for the emitters and range(n) for the edge list."""
     closed = graph._neighbourhoods()
     listed = [list(map(names.__getitem__, nb)) for nb in closed]
     for u, c in enumerate(graph.group.cyclic_class[graph.first:]):
@@ -180,8 +174,8 @@ def _later_names(graph: PowerGraph, names: list[str]):
 
 
 def _labels(graph: PowerGraph):
-    """Each vertex's label, in vertex order, from the group's element list."""
-    return map(graph.group._label, graph.group._elements[graph.first:])
+    """Each vertex's label, in vertex order, made by the group."""
+    return map(graph.group.element_repr, range(graph.first, graph.group.order))
 
 
 def _json_chunks(graph: PowerGraph):

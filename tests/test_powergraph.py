@@ -477,12 +477,12 @@ def test_labels_are_made_only_when_printed(text, monkeypatch):
     made = Counter()  # label calls per group name
     init = FiniteGroup.__init__
 
-    def counting_init(self, name, elements, mul, label, index=None):
-        def counted(e):
+    def counting_init(self, name, order, mul, label):
+        def counted(i):
             made[name] += 1
-            return label(e)
+            return label(i)
 
-        init(self, name, elements, mul, counted, index)
+        init(self, name, order, mul, counted)
 
     monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
     g = build(parse_group_spec(text))
