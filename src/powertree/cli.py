@@ -162,12 +162,12 @@ def cmd_divisor_graph(args) -> int:
     cap = max_order()
     if args.n > cap:
         raise UnsupportedOrder(f"n = {args.n} > order cap {cap}")
-    prof = closedform.divisor_profile(args.n)
-    divs, incomparable = prof.divisors, set(prof.incomparable)
+    poset = closedform.divisor_profile(args.n)
+    middle, adjacency = poset.orders[2:], closedform.incomparability(poset)
     edges = [
-        (divs[i], divs[j])
-        for i, j in combinations(range(1, len(divs) - 1), 2)
-        if ((i, j) in incomparable) == args.complement
+        (middle[i], middle[j])
+        for i, j in combinations(range(len(middle)), 2)
+        if adjacency[i][j] == args.complement  # the complement joins the incomparable
     ]
     complement = " complement" if args.complement else ""
     title = f"divisor graph{complement}, middle divisors of {args.n}"
@@ -175,13 +175,13 @@ def cmd_divisor_graph(args) -> int:
         payload = {
             "n": args.n,
             "complement": args.complement,
-            "vertices": list(prof.middle),
+            "vertices": list(middle),
             "edges": [list(e) for e in sorted(edges)],
         }
         print(json.dumps(payload, ensure_ascii=False, separators=(", ", ": ")))
     else:
         lines = [f'graph "{title}" {{']
-        for d in prof.middle:
+        for d in middle:
             lines.append(f"  {d};")
         for a, b in sorted(edges):
             lines.append(f"  {a} -- {b};")

@@ -3,11 +3,14 @@
 The cyclic formula reduces the n x n ones-plus-Laplacian determinant to a
 determinant indexed by the middle divisors of n (all divisors except n and 1),
 with the incomparability graph of those divisors supplying the off-diagonal
-pattern. `divisor_profile` is the one description of that divisor lattice
-(divisors, totients, degrees, incomparable middle pairs), read by the
-determinant, the subset expansion and `divisor-graph`. One body serves the
-full and the identity-deleted graph: deleting the identity lowers every
-degree by one and drops the identity's factor.
+pattern. That divisor lattice is Z_n's cyclic-subgroup poset, so its one
+description is Z_n's record, the CyclicPoset that `divisor_profile` returns:
+classes of orders 1, n, then the middle divisors descending, each with its
+totient and the classes inside it. The determinant, the subset expansion and
+`divisor-graph` read it and its `incomparability` matrix; treecount's
+`closed_degrees` gives each class's degree plus one, as for the quotient
+count. One body serves the full and the identity-deleted graph: deleting
+the identity lowers every degree by one and drops the identity's factor.
 Everything is evaluated in exact integer or rational arithmetic. Each
 formula is a product of powers, written as (base, exponent) pairs with a
 negative exponent dividing; `TreeNumber.from_powers` evaluates it and keeps
@@ -19,7 +22,6 @@ from __future__ import annotations
 
 from collections import Counter
 from math import prod
-from typing import NamedTuple
 
 from .errors import (
     DiscrepancyDetected,
@@ -32,62 +34,29 @@ from .errors import (
     TooManyDivisors,
     TrivialGroup,
 )
-from .groups import FiniteGroup, GroupSpec
-from .numutil import divisors, factorize, is_prime, phi  # bench/child.py wraps factorize
-from .treecount import TreeNumber, exact_integer_determinant
+from .groups import CyclicPoset, FiniteGroup, GroupSpec, cyclic_poset
+from .numutil import divisors, factorize, is_prime  # bench/child.py wraps factorize
+from .treecount import TreeNumber, closed_degrees, exact_integer_determinant
 
 EXPANSION_LIMIT = 20
 
 
-class DivisorProfile(NamedTuple):
-    """The divisor lattice of n, which is the cyclic-subgroup poset of Z_n.
-
-    divisors descend from n to 1. degrees[i] is the common degree of the
-    totients[i] = phi(divisors[i]) elements of that order in P(Z_n).
-    incomparable holds the pairs (i, j), i < j, of middle positions (neither
-    0 nor the last) whose divisors do not divide each other.
-    """
-
-    divisors: tuple[int, ...]
-    totients: tuple[int, ...]
-    degrees: tuple[int, ...]
-    incomparable: tuple[tuple[int, int], ...]
-
-    @property
-    def middle(self) -> tuple[int, ...]:
-        return self.divisors[1:-1]
+# The divisor lattice of n is Z_n's cyclic-subgroup poset, so Z_n's record is
+# the profile; the bench times the closed forms through this name.
+divisor_profile = cyclic_poset
 
 
-def divisor_profile(n: int) -> DivisorProfile:
-    """An element of order d is joined to the d - 1 others of its subgroup and
-    to the phi(e) generators of each subgroup of order e above it, d | e."""
-    divs = tuple(sorted(divisors(n), reverse=True))
-    tots = tuple(phi(d) for d in divs)
-    if sum(tots) != n:
-        raise DiscrepancyDetected(f"totients of divisors of {n} do not sum to {n}")
-    # descending, so only an earlier divisor can be a multiple of divs[i]
-    degs = tuple(
-        d - 1 + sum(t for e, t in zip(divs[:i], tots) if e % d == 0)
-        for i, d in enumerate(divs)
-    )
-    k = len(divs)
-    incomparable = tuple(
-        (i, j) for i in range(1, k - 1) for j in range(i + 1, k - 1) if divs[i] % divs[j]
-    )
-    return DivisorProfile(divs, tots, degs, incomparable)
-
-
-def _middle_determinant(prof: DivisorProfile, diagonal: tuple[int, ...]) -> int:
-    """det of (diag entries + totient-scaled incomparability rows).
-
-    Row i of the rational middle matrix is scaled by totients[i], turning
-    ratio diagonals into plain integers and adjacency ones into totients.
-    """
-    mids = range(1, len(prof.divisors) - 1)
-    mat = [[diagonal[i] if i == j else 0 for j in mids] for i in mids]
-    for i, j in prof.incomparable:
-        mat[i - 1][j - 1], mat[j - 1][i - 1] = prof.totients[i], prof.totients[j]
-    return exact_integer_determinant(mat)
+def incomparability(poset: CyclicPoset) -> list[list[int]]:
+    """The incomparability graph of n's middle divisors as a 0/1 matrix over
+    the middle classes 2.. of Z_n's record: two are joined when neither lies
+    inside the other."""
+    below = poset.below
+    mids = range(2, len(below))
+    adjacency = [[int(i != j) for j in mids] for i in mids]
+    for i in mids:
+        for j in below[i][1:]:  # the middle classes inside class i
+            adjacency[i - 2][j - 2] = adjacency[j - 2][i - 2] = 0
+    return adjacency
 
 
 def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
@@ -95,17 +64,21 @@ def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
 
     The diagonal is d + 1 per divisor, d its degree, and the square is n.
     With `reduced` the identity is deleted first: the diagonal is d, the
-    identity (divisor 1, the last) leaves the bases and the square is n - 1.
+    identity (divisor 1, class 0) leaves the bases and the square is n - 1.
+    Row i of the rational middle matrix is scaled by its totient, turning
+    ratio diagonals into plain integers and adjacency ones into totients.
     """
     if reduced and n < 2:
         raise TrivialGroup("reduced tree count needs n >= 2")
     drop = 1 if reduced else 0
-    prof = divisor_profile(n)
-    k = len(prof.divisors)
-    diagonal = tuple(d + 1 - drop for d in prof.degrees)
-    bases = list(zip(diagonal, prof.totients))[: k - drop]
-    middle = [(d, -1) for d in diagonal[1 : k - 1]]
-    det = _middle_determinant(prof, diagonal)
+    poset = divisor_profile(n)
+    diagonal, sizes = closed_degrees(poset, drop), poset.sizes
+    det = exact_integer_determinant([
+        [diagonal[i] if i == j else sizes[i] * joined for j, joined in enumerate(row, 2)]
+        for i, row in enumerate(incomparability(poset), 2)
+    ])
+    bases = list(zip(diagonal, sizes))[drop:]
+    middle = [(d, -1) for d in diagonal[2:]]
     name = f"Z_{n} reduced" if reduced else f"Z_{n}"
     return TreeNumber.from_powers(name, [*bases, (det, 1), *middle, (n - drop, -2)])
 
@@ -130,13 +103,10 @@ def kappa_cyclic_expansion(n: int) -> TreeNumber:
         )
     from fractions import Fraction  # imported here: it pulls in decimal
 
-    prof = divisor_profile(n)
-    ratios = [
-        Fraction(d + 1, t) for d, t in zip(prof.degrees[1:-1], prof.totients[1:-1])
-    ]
-    adjacency = [[0] * middle for _ in range(middle)]
-    for i, j in prof.incomparable:
-        adjacency[i - 1][j - 1] = adjacency[j - 1][i - 1] = 1
+    poset = divisor_profile(n)
+    closed = closed_degrees(poset)
+    ratios = [Fraction(d, t) for d, t in zip(closed[2:], poset.sizes[2:])]
+    adjacency = incomparability(poset)
     total = Fraction(0)
     for mask in range(1 << middle):
         inside = [i for i in range(middle) if mask >> i & 1]
@@ -148,7 +118,7 @@ def kappa_cyclic_expansion(n: int) -> TreeNumber:
             (r for i, r in enumerate(ratios) if not mask >> i & 1), start=Fraction(1)
         )
         total += det_a * outside
-    outer = prod((d + 1) ** t for d, t in zip(prof.degrees, prof.totients))
+    outer = prod(d**t for d, t in zip(closed, poset.sizes))
     kappa = outer * total / (prod(ratios, start=Fraction(1)) * n * n)
     if kappa.denominator != 1:
         raise DiscrepancyDetected("subset expansion did not divide exactly")

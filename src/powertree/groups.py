@@ -6,9 +6,11 @@ Z_n, D_2n, Q_4n, pq groups, elementary abelian groups and direct products multip
 index arithmetic. Only a permutation group keeps its elements, each the byte string of
 its images on at most 256 points, and the index of each; two compose by one
 bytes.translate. The group also owns its poset of cyclic subgroups as one record, a
-CyclicPoset, filled from the powers of one element per cyclic subgroup, or for Z_n
-written from the divisors of n; the power graph and the tree counts read only that
-record and each element's class in it. Each kind lists an element's powers by its own
+CyclicPoset, filled from the powers of one element per cyclic subgroup; Z_n, D_2n
+and Q_4n, one rotation kind, run no walk: cyclic_poset(m) writes the record of the
+rotations x of order m from the divisors of m, and the x^i y add their classes after
+it. The power graph and the tree counts read only that record and each element's
+class in it. Each kind lists an element's powers by its own
 rule: a permutation through its own padded table, Z_n, D_2n and Q_4n by arithmetic, a
 direct product from its factors' powers, and the rest by multiplying.
 """
@@ -206,39 +208,27 @@ def _check_cap(order: int, what: str) -> None:
         raise UnsupportedOrder(f"{what} has order {order} > cap {cap}")
 
 
+def cyclic_poset(n: int) -> CyclicPoset:
+    """Z_n's record, written from the divisors of n and numbered as the power
+    walk numbers it. <i> = <gcd(i, n)>, and the first element of <d> is d, so
+    class c >= 1 is <d> for the c-th smallest divisor d < n, of order n / d:
+    the orders are 1, n, then the middle divisors of n descending. Inside <d>
+    lie {0} and the <k*d> for the divisors 1 < k < n / d of n / d, in the
+    walk's order of ascending k."""
+    divs = divisors(n)
+    firsts = [n, *divs[:-1]]  # class c is <firsts[c]>
+    cls = {d: c for c, d in enumerate(firsts)}
+    orders = tuple(n // d for d in firsts)
+    below = tuple((0, *(cls[k * d] for k in divs[1:] if k < m and m % k == 0)) if m > 1 else ()
+                  for d, m in zip(firsts, orders))
+    return CyclicPoset(orders, tuple(map(phi, orders)), below)
+
+
 def _cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise InvalidSpec(f"cyclic group needs n >= 1, got {n}")
     _check_cap(n, f"Z_{n}")
-    return _CyclicGroup(f"Z_{n}", n, lambda a, b: (a + b) % n, lambda i: _rot_repr(i, 0))
-
-
-class _CyclicGroup(FiniteGroup):
-    """Z_n on 0..n-1, its classes written from the divisors of n, no power walk."""
-
-    __slots__ = ()
-
-    def powers(self, i: int) -> list[int]:
-        return _multiples(i, self.order)
-
-    def _classes(self) -> tuple[list[int], CyclicPoset]:
-        """Numbered as the power walk numbers them. <i> = <gcd(i, n)>, and the
-        first element of <d> is d, so class c >= 1 is <d> for the c-th smallest
-        divisor d < n, of order n / d; inside it lie {0} and the <k*d> for the
-        divisors 1 < k < n / d of n / d, in the walk's order of ascending k."""
-        n = self.order
-        divs = divisors(n)
-        firsts = [n, *divs[:-1]]  # class c is <firsts[c]>
-        cls = {d: c for c, d in enumerate(firsts)}
-        orders = tuple(n // d for d in firsts)
-        below = tuple((0, *(cls[k * d] for k in divs[1:] if k < m and m % k == 0)) if m > 1 else ()
-                      for d, m in zip(firsts, orders))
-        # i's class is that of gcd(i, n), the largest divisor of n dividing i,
-        # which is the last d to write it in ascending order
-        cyclic_class = [0] * n
-        for c, d in enumerate(divs[:-1], 1):
-            cyclic_class[d::d] = [c] * (n // d - 1)
-        return cyclic_class, CyclicPoset(orders, tuple(map(phi, orders)), below)
+    return _RotationGroup(f"Z_{n}", n, None)
 
 
 def _rot_repr(i: int, j: int) -> str:
@@ -257,14 +247,16 @@ def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> Fi
 
 
 class _RotationGroup(FiniteGroup):
-    """x of order m and y with y^2 = x^square, x^i y^j at index j*m + i; an
-    element's powers by arithmetic: (x^i y)^2 = x^square, so x^i y has order
-    2 when square = 0 and 4 otherwise."""
+    """x of order m, and unless square is None (Z_m) a y with y^2 = x^square;
+    x^i y^j at index j*m + i. An element's powers come by arithmetic, and the
+    classes with no power walk: the rotations' from cyclic_poset(m), and
+    (x^i y)^2 = x^square, so x^i y has order 2 when square = 0 (D_2m) and
+    order 4, with x^(i+square) y the other generator, otherwise (Q_2m)."""
 
-    __slots__ = ("_square",)
+    __slots__ = ("_m", "_square")
 
     def __init__(self, name, m, square):
-        self._square = square
+        self._m, self._square = m, square
 
         def mul(a, b):
             if a < m:  # x^i1 x^i2 y^j2
@@ -273,10 +265,33 @@ class _RotationGroup(FiniteGroup):
                 return m + (a - b) % m
             return (a - b + square) % m  # x^i1 y x^i2 y = x^(i1-i2) y^2
 
-        super().__init__(name, 2 * m, mul, lambda i: _rot_repr(i % m, i // m))
+        order = m if square is None else 2 * m
+        super().__init__(name, order, mul, lambda i: _rot_repr(i % m, i // m))
+
+    def _classes(self) -> tuple[list[int], CyclicPoset]:
+        """Numbered as the power walk numbers them: the rotations' classes
+        first, x^i in the class of <gcd(i, m)>, which is the last divisor d of
+        m to write it in ascending order, then a new class per x^i y in order
+        of i, that of x^(i+square) y too when square > 0."""
+        m, square = self._m, self._square
+        orders, sizes, below = cyclic_poset(m)
+        cyclic_class = [0] * m
+        for c in range(1, len(orders)):
+            d = m // orders[c]
+            cyclic_class[d::d] = [c] * (orders[c] - 1)
+        if square is None:
+            return cyclic_class, CyclicPoset(orders, sizes, below)
+        k, flips = len(orders), square or m  # the classes of the x^i y
+        cyclic_class += [*range(k, k + flips)] * (m // flips)
+        if square == 0:
+            order, size, inside = 2, 1, (0,)
+        else:
+            order, size, inside = 4, 2, (0, cyclic_class[square])
+        return cyclic_class, CyclicPoset(orders + (order,) * flips, sizes + (size,) * flips,
+                                         below + (inside,) * flips)
 
     def powers(self, i: int) -> list[int]:
-        m, square = self.order // 2, self._square
+        m, square = self._m, self._square
         if i < m:
             return _multiples(i, m)
         if square == 0:

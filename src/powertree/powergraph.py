@@ -8,11 +8,12 @@ up two classes in it, the vertex and edge counts, completeness and connectivity
 come from the classes and their inclusions, and the clique number is the
 most vertices on a chain of cyclic subgroups. Edge walks and degrees read
 one sorted closed neighbourhood per cyclic subgroup, shared by its
-generators and built on first use. One walker lists each class's
-neighbours once and gives each vertex the slice after itself, so a walk
-costs time in proportion to the edges it lists; the edge list and both
-emitters read it. The emitters ask the group for each vertex's label and
-write to a stream in batches of about 64 KB.
+generators and built on first use. A vertex's later neighbours are the
+slice of its class's neighbourhood after itself, so a walk costs time in
+proportion to the edges it lists. The edge list takes those slices; one
+walker hands the emitters each class's neighbour names, listed once. The
+emitters ask the group for each vertex's label and write to a stream in
+batches of about 64 KB.
 """
 
 from __future__ import annotations
@@ -53,7 +54,10 @@ class PowerGraph:
         return len(self._neighbourhoods()[self.group.cyclic_class[v + self.first]]) - 1
 
     def edges(self):
-        return ((u, v) for u, later in _later_names(self, range(self.vertex_count)) for v in later)
+        """(u, v) for each edge, u < v: the slice of u's closed neighbourhood after u."""
+        closed = self._neighbourhoods()
+        return ((u, v) for u, c in enumerate(self.group.cyclic_class[self.first:])
+                for v in closed[c][bisect_right(closed[c], u):])
 
     def edge_count(self) -> int:
         """From the subgroup poset. The k generators of a cyclic subgroup D that
@@ -162,8 +166,8 @@ def to_dot(graph: PowerGraph, out=None) -> str | None:
 def _later_names(graph: PowerGraph, names):
     """Yield (names[u], the sorted names of u's neighbours v > u) for each
     vertex u that has any: each class's neighbour names are listed once, and
-    a vertex gets the slice after itself. `names` is indexed by vertex, its
-    decimal texts for the emitters and range(n) for the edge list."""
+    a vertex gets the slice after itself. `names` holds each vertex's
+    decimal text, made once by the emitter."""
     closed = graph._neighbourhoods()
     listed = [list(map(names.__getitem__, nb)) for nb in closed]
     for u, c in enumerate(graph.group.cyclic_class[graph.first:]):

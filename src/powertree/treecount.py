@@ -333,6 +333,19 @@ def _root_deleted_determinant(adj: list[dict], kept) -> tuple[int, int, int]:
     return det_n, pivots, updates
 
 
+def closed_degrees(poset, drop: int = 0) -> list[int]:
+    """d_C + 1 per class C of a CyclicPoset: each generator of C is joined to
+    the |C| - 1 other elements of C and to the generators of every class above
+    C, so d_C + 1 = |C| + (generators above C). With `drop` = 1 the identity
+    is deleted, one neighbour fewer for every other class."""
+    orders, sizes, below = poset
+    closed = [m - drop for m in orders]
+    for d, inside in enumerate(below):
+        for c in inside:
+            closed[c] += sizes[d]
+    return closed
+
+
 def quotient_kappa(poset, reduced: bool = False) -> TreeNumber:
     """Tree count of the (reduced) power graph of a group from its CyclicPoset
     `poset`: per cyclic subgroup C its order, its k_C = phi(|C|) generators
@@ -358,23 +371,20 @@ def quotient_kappa(poset, reduced: bool = False) -> TreeNumber:
     edge to r, Γ is disconnected, and the count is 0. Only the record is
     read; no group or power graph is needed.
     """
-    orders, sizes, below = poset
-    if reduced and len(orders) < 2:
+    _, sizes, below = poset
+    if reduced and len(sizes) < 2:
         raise TrivialGroup("reduced power graph needs |G| >= 2")
     drop = 1 if reduced else 0
     # Laplacian off-diagonal entries -k_C * k_D of the quotient
     adj: list[dict] = [{} for _ in sizes]
-    # generators of strictly larger cyclic subgroups, per class
-    up = [0] * len(sizes)
     for d, inside in enumerate(below):
         for c in inside:
-            up[c] += sizes[d]
             if c >= drop:
                 adj[c][d] = adj[d][c] = -sizes[c] * sizes[d]
     kept = range(drop, len(sizes))
-    # d_C + 1 = |C| + (generators above C), less the identity when reduced
+    closed = closed_degrees(poset, drop)
     num = _root_deleted_determinant(adj, kept)[0] * prod(
-        (orders[c] - drop + up[c]) ** (sizes[c] - 1) for c in kept
+        closed[c] ** (sizes[c] - 1) for c in kept
     )
     value, rem = divmod(num, prod(sizes[c] for c in kept))
     if rem:

@@ -32,7 +32,7 @@ from powertree.groups import GroupSpec, build
 from powertree.numutil import try_factorize
 from powertree.powergraph import power_graph, reduced_power_graph
 from powertree.specparse import parse_group_spec
-from powertree.treecount import TreeNumber, quotient_kappa, temperley_kappa
+from powertree.treecount import TreeNumber, closed_degrees, quotient_kappa, temperley_kappa
 
 
 def _build(text):
@@ -40,50 +40,54 @@ def _build(text):
 
 
 # --- divisor profile ---------------------------------------------------------
+# Z_n's record: classes of orders 1, n, then the middle divisors descending
+
+
+def _incomparable(poset):
+    """The pairs {a, b} of middle orders of which neither divides the other."""
+    orders, _, below = poset
+    return {frozenset({orders[i], orders[j]})
+            for i in range(2, len(orders)) for j in range(i + 1, len(orders)) if j not in below[i]}
 
 
 def test_divisor_profile_12():
-    prof = divisor_profile(12)
-    assert prof.divisors == (12, 6, 4, 3, 2, 1)
-    assert prof.degrees == (11, 9, 7, 8, 9, 11)
-    ratios = tuple(
-        Fraction(d + 1, t) for d, t in zip(prof.degrees[1:-1], prof.totients[1:-1])
-    )
+    poset = divisor_profile(12)
+    assert poset.orders == (1, 12, 6, 4, 3, 2)
+    closed = closed_degrees(poset)
+    assert [d - 1 for d in closed] == [11, 11, 9, 7, 8, 9]
+    ratios = tuple(Fraction(d, t) for d, t in zip(closed[2:], poset.sizes[2:]))
     assert ratios == (Fraction(5), Fraction(4), Fraction(9, 2), Fraction(10))
 
 
 def test_divisor_profile_6():
-    prof = divisor_profile(6)
-    assert prof.divisors == (6, 3, 2, 1)
-    assert prof.totients == (2, 2, 1, 1)
+    poset = divisor_profile(6)
+    assert poset.orders == (1, 6, 3, 2)
+    assert poset.sizes == (1, 2, 2, 1)
 
 
 def test_divisor_profile_prime():
-    prof = divisor_profile(7)
-    assert len(prof.divisors) == 2
-    assert prof.middle == ()
+    poset = divisor_profile(7)
+    assert poset.orders == (1, 7)
+    assert poset.below == ((), (0,))
 
 
 def test_divisor_profile_invariants():
     for n in range(1, 150):
-        prof = divisor_profile(n)
-        assert sum(prof.totients) == n
-        assert prof.degrees[0] == n - 1 and prof.degrees[-1] == n - 1
-        assert all(
-            prof.degrees[i] + 1 > prof.totients[i] for i in range(1, len(prof.divisors) - 1)
-        )
+        poset = divisor_profile(n)
+        assert sum(poset.sizes) == n
+        closed = closed_degrees(poset)
+        assert set(closed[:2]) == {n}  # the identity and Z_n's generators: all of Z_n
+        assert all(closed[i] > poset.sizes[i] for i in range(2, len(closed)))
 
 
 def test_divisor_graph_30():
-    prof = divisor_profile(30)
-    assert prof.middle == (15, 10, 6, 5, 3, 2)
-    assert len(prof.incomparable) == 9
+    poset = divisor_profile(30)
+    assert poset.orders[2:] == (15, 10, 6, 5, 3, 2)
+    assert len(_incomparable(poset)) == 9
 
 
 def test_divisor_graph_12():
-    prof = divisor_profile(12)
-    pairs = {frozenset({prof.divisors[i], prof.divisors[j]}) for i, j in prof.incomparable}
-    assert pairs == {
+    assert _incomparable(divisor_profile(12)) == {
         frozenset({6, 4}),
         frozenset({4, 3}),
         frozenset({3, 2}),
@@ -92,7 +96,7 @@ def test_divisor_graph_12():
 
 def test_divisor_graph_chains_complete(capsys):
     # the middle divisors of a prime power form a chain: all comparable
-    assert divisor_profile(8).incomparable == ()
+    assert _incomparable(divisor_profile(8)) == set()
     assert main(["divisor-graph", "8"]) == 0
     assert "  4 -- 2;" in capsys.readouterr().out.splitlines()
 

@@ -288,6 +288,17 @@ def test_cyclic_classes_from_divisors_match_the_power_walk(ns):
         assert g.poset == walked.poset, n
 
 
+@pytest.mark.parametrize("kind", ["dihedral", "quaternion"])
+def test_rotation_classes_match_the_multiply_walk(kind):
+    # D_2n and Q_4n write their classes from the divisors of the rotations'
+    # order; a plain FiniteGroup on the same multiply walks the powers
+    for n in range(1, 301):
+        g = build(GroupSpec(kind, (n,)))
+        walked = FiniteGroup(g.name, g.order, g.multiply, str)
+        assert g.cyclic_class == walked.cyclic_class, n
+        assert g.poset == walked.poset, n
+
+
 def multiply_walk(g, i):
     """The indices of i^0, i^1, ... up to the identity, by repeated multiply."""
     powers, y = [0], i
@@ -360,8 +371,10 @@ def test_cyclic_build_runs_no_power_walk(monkeypatch):
     g = _build("cyclic:420")
     assert g.poset.orders[:3] == (1, 420, 210)
     assert g.multiply(419, 2) == 1 and g.element_repr(5) == "x^5"
+    assert _build("dihedral:500").poset.orders[-2:] == (2, 2)
+    assert _build("quaternion:250").poset.orders[-2:] == (4, 4)
     with pytest.raises(AssertionError, match="power walk"):
-        _build("dihedral:3")
+        _build("semidirect:7:3")
 
 
 def _rot_text(i, j):

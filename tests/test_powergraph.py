@@ -21,7 +21,7 @@ from powertree.powergraph import (
     to_json,
 )
 from powertree.specparse import parse_group_spec
-from powertree.treecount import MultiGraph, quotient_kappa, temperley_kappa
+from powertree.treecount import MultiGraph, closed_degrees, quotient_kappa, temperley_kappa
 
 
 def _graph(text, reduced=False):
@@ -160,8 +160,8 @@ def test_reduced_power_graph_trivial_group():
 
 def test_degree_formula_matches_graph_up_to_100():
     for n in range(1, 101):
-        prof = divisor_profile(n)
-        degree_of_order = dict(zip(prof.divisors, prof.degrees))
+        poset = divisor_profile(n)
+        degree_of_order = {m: d - 1 for m, d in zip(poset.orders, closed_degrees(poset))}
         graph = _graph(f"cyclic:{n}")
         for m in range(n):
             assert degree_of_order[n // gcd(m, n)] == graph.degree(m), (n, m)
@@ -450,6 +450,25 @@ def test_divisor_graph_output_matches_golden_hash(case, sha1, capsys):
     for n in DIVISOR_GRAPH_NS:
         argv = ["divisor-graph", str(n), "--format", fmt] + (["--complement"] if complement else [])
         assert main(argv) == 0
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == sha1
+
+
+# SHA-1 of the concatenated `divisor-graph N` and
+# `divisor-graph N --complement --format json` stdout over
+# DIVISOR_GRAPH_RECORD_NS, recorded before the command read Z_n's record
+DIVISOR_GRAPH_RECORD_NS = [*range(1, 421), 720, 840, 2520, 5040, 9240, 10000]
+GOLDEN_DIVISOR_GRAPH_RECORD_SHA1 = [
+    (("--format", "dot"), "9003533da2c4f0d06fd028609b9b5a09f8b94383"),
+    (("--complement", "--format", "json"), "e95dbc1773fa73eecce20f97b01972f58ca6d818"),
+]
+
+
+@pytest.mark.parametrize("flags, sha1", GOLDEN_DIVISOR_GRAPH_RECORD_SHA1)
+def test_divisor_graph_from_the_record_matches_golden_hash(flags, sha1, capsys):
+    digest = hashlib.sha1()
+    for n in DIVISOR_GRAPH_RECORD_NS:
+        assert main(["divisor-graph", str(n), *flags]) == 0
         digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == sha1
 

@@ -449,9 +449,10 @@ def _weighted_adj(n, edges):
 # (pivots, Schur updates) of quotient_kappa's elimination, full and reduced,
 # counted before products listed their powers from their factors' powers.
 # They move only when the class numbering or the elimination order changes.
-# P*(S_7) is disconnected, so its first pivot is zero.
+# P*(S_7) and P*(D_10000) are disconnected, so their first pivot is zero.
 ELIMINATION_WORK = [
     ("sym:7", (2038, 9380), (0, 0)),
+    ("dihedral:5000", (5019, 555), (0, 0)),
     ("quaternion:2500", (2519, 3055), (2518, 427)),
     ("cyclic:9240", (63, 13744), (62, 12588)),
     ("product:(sym:5)x(cyclic:60)", (1091, 27068), (1090, 22348)),
