@@ -20,8 +20,8 @@ from typing import NamedTuple
 
 from . import classify as classify_mod
 from . import closedform, table1
-from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge, UnsupportedOrder
-from .groups import FiniteGroup, GroupSpec, build, max_order
+from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge
+from .groups import FiniteGroup, GroupSpec, build, check_order
 from .numutil import format_decimal, in_lanes
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
@@ -97,7 +97,7 @@ def cmd_kappa(args) -> int:
         for r in records:
             print(f"  {r.method}: {format_decimal(r.kappa.value)}", file=sys.stderr)
         return 1
-    _emit_records(records, args.format, getattr(args, "timing", False))
+    _emit_records(records, args.format, args.timing)
     return 0
 
 
@@ -142,9 +142,7 @@ def _verify_run(ns) -> str | None:
 def cmd_verify(args) -> int:
     if args.max_n < 1:
         raise OutOfRange("--max-n must be >= 1")
-    cap = max_order()
-    if args.max_n > cap:
-        raise UnsupportedOrder(f"--max-n {args.max_n} > order cap {cap}")
+    check_order(args.max_n, f"Z_{args.max_n}")
     # Z_n's full graph has the largest determinant, of n rows
     check_dense_dim(args.max_n, "verify --max-n")
     # the lanes take the pairs (1, 2), (3, 4), ..., so each gets odd and even n alike
@@ -159,9 +157,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_divisor_graph(args) -> int:
-    cap = max_order()
-    if args.n > cap:
-        raise UnsupportedOrder(f"n = {args.n} > order cap {cap}")
+    check_order(args.n, f"Z_{args.n}")
     poset = closedform.divisor_profile(args.n)
     middle, adjacency = poset.orders[2:], closedform.incomparability(poset)
     edges = [

@@ -7,19 +7,22 @@ index arithmetic. Only a permutation group keeps its elements, each the byte str
 its images on at most 256 points, and the index of each; two compose by one
 bytes.translate. The group also owns its poset of cyclic subgroups as one record, a
 CyclicPoset, filled from the powers of one element per cyclic subgroup; Z_n, D_2n
-and Q_4n, one rotation kind, run no walk: cyclic_poset(m) writes the record of the
-rotations x of order m from the divisors of m, and the x^i y add their classes after
-it. The power graph and the tree counts read only that record and each element's
-class in it. Each kind lists an element's powers by its own
+and Q_4n, one rotation kind made by one builder, run no walk: cyclic_poset(m) writes
+the record of the rotations x of order m from the divisors of m, and the x^i y add
+their classes after it. The power graph and the tree counts read only that record
+and each element's class in it. Each kind lists an element's powers by its own
 rule: a permutation through its own padded table, Z_n, D_2n and Q_4n by arithmetic, a
-direct product from its factors' powers, and the rest by multiplying.
+direct product from its factors' powers, and the rest by multiplying. Each builder
+writes its group's name once and hands it to check_order, which refuses an order
+above the cap before any work; a permutation closure, whose order is known only
+when its walk ends, also stops as soon as it outgrows the cap.
 """
 
 from __future__ import annotations
 
 import os
 from collections.abc import Callable
-from functools import cache
+from functools import cache, lru_cache
 from math import factorial, gcd, lcm
 from operator import add
 from typing import NamedTuple
@@ -202,12 +205,14 @@ def _multiples(i: int, n: int) -> list[int]:
     return [k % n for k in range(0, lcm(i, n), i)] if i else [0]
 
 
-def _check_cap(order: int, what: str) -> None:
+def check_order(order: int, name: str) -> None:
+    """Raise UnsupportedOrder, before any work, for a group above the order cap."""
     cap = max_order()
     if order > cap:
-        raise UnsupportedOrder(f"{what} has order {order} > cap {cap}")
+        raise UnsupportedOrder(f"{name} has order {order} > cap {cap}")
 
 
+@lru_cache(maxsize=1)  # a closed form after a build asks for the same record
 def cyclic_poset(n: int) -> CyclicPoset:
     """Z_n's record, written from the divisors of n and numbered as the power
     walk numbers it. <i> = <gcd(i, n)>, and the first element of <d> is d, so
@@ -224,13 +229,6 @@ def cyclic_poset(n: int) -> CyclicPoset:
     return CyclicPoset(orders, tuple(map(phi, orders)), below)
 
 
-def _cyclic(n: int) -> FiniteGroup:
-    if n < 1:
-        raise InvalidSpec(f"cyclic group needs n >= 1, got {n}")
-    _check_cap(n, f"Z_{n}")
-    return _RotationGroup(f"Z_{n}", n, None)
-
-
 def _rot_repr(i: int, j: int) -> str:
     xs = "1" if i == 0 else ("x" if i == 1 else f"x^{i}")
     if j == 0:
@@ -238,11 +236,11 @@ def _rot_repr(i: int, j: int) -> str:
     return "y" if i == 0 else f"{xs}y"
 
 
-def _rotations_and_flip(kind: str, n: int, m: int, square: int, name: str) -> FiniteGroup:
-    """Order 2m: x of order m, y^2 = x^square and y x y^-1 = x^-1."""
+def _rotations(kind: str, n: int, name: str, m: int, square: int | None) -> FiniteGroup:
+    """The spec kind:n as the _RotationGroup `name` of x of order m and y^2 = x^square."""
     if n < 1:
         raise InvalidSpec(f"{kind} parameter needs n >= 1, got {n}")
-    _check_cap(2 * m, name)
+    check_order(m if square is None else 2 * m, name)
     return _RotationGroup(name, m, square)
 
 
@@ -299,23 +297,13 @@ class _RotationGroup(FiniteGroup):
         return [0, i, square, m + (i + square) % m]
 
 
-def _dihedral(n: int) -> FiniteGroup:
-    """Order 2n, presented by rotations x (order n) and a reflection y."""
-    return _rotations_and_flip("dihedral", n, n, 0, f"D_{2 * n}")
-
-
-def _quaternion(n: int) -> FiniteGroup:
-    """Dicyclic group of order 4n: x of order 2n, y^2 = x^n, y x y^-1 = x^-1."""
-    return _rotations_and_flip("quaternion", n, 2 * n, n, f"Q_{4 * n}")
-
-
 def _elemabelian(p: int, k: int) -> FiniteGroup:
     if not is_prime(p):
         raise InvalidSpec(f"elementary abelian base must be prime, got {p}")
     if k < 1:
         raise InvalidSpec(f"elementary abelian rank needs k >= 1, got {k}")
-    order = p**k
-    _check_cap(order, f"Z_{p}^{k}")
+    name = f"Z_{p}" if k == 1 else f"Z_{p}^{k}"
+    check_order(p**k, name)
     # element i is the tuple of its k base-p digits, most significant first
     places = [p**j for j in reversed(range(k))]
     names = list(map(str, range(p)))
@@ -326,8 +314,7 @@ def _elemabelian(p: int, k: int) -> FiniteGroup:
     def label(i):
         return "(" + ",".join([names[i // w % p] for w in places]) + ")"
 
-    name = f"Z_{p}" if k == 1 else f"Z_{p}^{k}"
-    return FiniteGroup(name, order, mul, label)
+    return FiniteGroup(name, p**k, mul, label)
 
 
 def _compose(a: bytes, b: bytes) -> bytes:
@@ -382,19 +369,21 @@ class _PermGroup(FiniteGroup):
 def _symmetric(m: int) -> FiniteGroup:
     if not 1 <= m <= MAX_PERM_DEGREE:
         raise InvalidSpec(f"sym degree must be 1..{MAX_PERM_DEGREE}, got {m}")
-    _check_cap(factorial(m), f"S_{m}")
+    name = f"S_{m}"
+    check_order(factorial(m), name)
     gens = []
     if m >= 2:
         gens.append(tuple([1, 0] + list(range(2, m))))
     if m >= 3:
         gens.append(tuple(list(range(1, m)) + [0]))
-    return _perm_closure(m, gens, f"S_{m}")
+    return _perm_closure(m, gens, name)
 
 
 def _alternating(m: int) -> FiniteGroup:
     if not 1 <= m <= MAX_PERM_DEGREE:
         raise InvalidSpec(f"alt degree must be 1..{MAX_PERM_DEGREE}, got {m}")
-    _check_cap(max(1, factorial(m) // 2), f"A_{m}")
+    name = f"A_{m}"
+    check_order(max(1, factorial(m) // 2), name)
     gens = []
     if m >= 3:
         gens.append(tuple([1, 2, 0] + list(range(3, m))))
@@ -402,7 +391,7 @@ def _alternating(m: int) -> FiniteGroup:
             gens.append(tuple(list(range(1, m)) + [0]))
         elif m >= 4:
             gens.append(tuple([0] + list(range(2, m)) + [1]))
-    return _perm_closure(m, gens, f"A_{m}")
+    return _perm_closure(m, gens, name)
 
 
 def _semidirect(p: int, q: int) -> FiniteGroup:
@@ -415,7 +404,8 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
         raise InvalidSpec(f"semidirect needs two primes, got ({p}, {q})")
     if (p - 1) % q != 0:
         raise InvalidSpec(f"semidirect needs q | p-1, got ({p}, {q})")
-    _check_cap(p * q, f"Z_{p}:Z_{q}")
+    name = f"Z_{p}⋊Z_{q}"
+    check_order(p * q, name)
     r = next(r for r in range(2, p) if pow(r, q, p) == 1)
     rpow = [pow(r, b, p) for b in range(q)]
 
@@ -424,19 +414,14 @@ def _semidirect(p: int, q: int) -> FiniteGroup:
         a2, b2 = divmod(e2, q)
         return (a1 + a2 * rpow[b1]) % p * q + (b1 + b2) % q
 
-    return FiniteGroup(f"Z_{p}⋊Z_{q}", p * q, mul, lambda i: "(%d,%d)" % divmod(i, q))
-
-
-def _permutation(degree: int, generators) -> FiniteGroup:
-    if not 1 <= degree <= MAX_PERM_POINTS:
-        raise InvalidSpec(f"permutation degree must be 1..{MAX_PERM_POINTS}, got {degree}")
-    return _perm_closure(degree, generators, f"⟨{';'.join(map(_cycle_notation, generators))}⟩")
+    return FiniteGroup(name, p * q, mul, lambda i: "(%d,%d)" % divmod(i, q))
 
 
 def direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
     """Componentwise product; element (a, b) gets index a * |h| + b."""
-    _check_cap(g.order * h.order, f"{g.name}×{h.name}")
-    return _ProductGroup(g, h)
+    name = f"{g.name}×{h.name}"
+    check_order(g.order * h.order, name)
+    return _ProductGroup(name, g, h)
 
 
 class _ProductGroup(FiniteGroup):
@@ -445,7 +430,7 @@ class _ProductGroup(FiniteGroup):
 
     __slots__ = ("_factors",)
 
-    def __init__(self, g, h):
+    def __init__(self, name, g, h):
         self._factors = g, h
         n = h.order
 
@@ -455,8 +440,7 @@ class _ProductGroup(FiniteGroup):
             return g.multiply(a1, a2) * n + h.multiply(b1, b2)
 
         left, right = cache(g.element_repr), cache(h.element_repr)  # each factor label once
-        super().__init__(f"{g.name}×{h.name}", g.order * n, mul,
-                         lambda i: f"({left(i // n)},{right(i % n)})")
+        super().__init__(name, g.order * n, mul, lambda i: f"({left(i // n)},{right(i % n)})")
 
     def powers(self, i: int) -> list[int]:
         g, h = self._factors
@@ -477,9 +461,10 @@ class Kind(NamedTuple):
 
 # in the order parse errors list them; product and perm come after these
 KINDS = {
-    "cyclic": Kind(("parameter",), "", _cyclic),
-    "dihedral": Kind(("parameter",), "", _dihedral),
-    "quaternion": Kind(("parameter",), "", _quaternion),
+    "cyclic": Kind(("parameter",), "", lambda n: _rotations("cyclic", n, f"Z_{n}", n, None)),
+    "dihedral": Kind(("parameter",), "", lambda n: _rotations("dihedral", n, f"D_{2 * n}", n, 0)),
+    "quaternion": Kind(("parameter",), "",
+                       lambda n: _rotations("quaternion", n, f"Q_{4 * n}", 2 * n, n)),
     "elemabelian": Kind(("prime base", "exponent"), "^", _elemabelian),
     "sym": Kind(("parameter",), "", _symmetric),
     "alt": Kind(("parameter",), "", _alternating),
@@ -489,8 +474,9 @@ KINDS = {
 
 def _row(spec: GroupSpec, depth: int) -> Kind | None:
     """spec's row of KINDS, None for product and perm; checks kind, arity and
-    types, that each perm generator is a permutation of range(degree), and
-    that products nest at most MAX_PRODUCT_DEPTH deep, `depth` enclosing spec."""
+    types, that a perm degree is 1..MAX_PERM_POINTS and each perm generator a
+    permutation of range(degree), and that products nest at most
+    MAX_PRODUCT_DEPTH deep, `depth` enclosing spec."""
     row = KINDS.get(spec.kind) if type(spec.kind) is str else None
     if row is None and spec.kind not in ("product", "perm"):
         raise InvalidSpec(f"unknown spec kind {spec.kind!r}")
@@ -504,7 +490,7 @@ def _row(spec: GroupSpec, depth: int) -> Kind | None:
             or not all(isinstance(f, GroupSpec) for f in spec.factors)
             or not all(type(g) is tuple and all(type(x) is int for x in g) for g in spec.generators)):
         raise InvalidSpec(f"malformed {spec.kind} spec {spec!r}")
-    if spec.kind == "perm" and spec.params[0] > MAX_PERM_POINTS:  # before range(degree)
+    if spec.kind == "perm" and not 1 <= spec.params[0] <= MAX_PERM_POINTS:  # before range()
         raise InvalidSpec(f"permutation degree must be 1..{MAX_PERM_POINTS}, got {spec.params[0]}")
     for g in spec.generators:  # else a short one renders as a longer one
         if sorted(g) != list(range(spec.params[0])):
@@ -524,7 +510,8 @@ def _build(spec: GroupSpec, depth: int) -> FiniteGroup:
     if spec.kind == "product":
         a, b = spec.factors
         return direct_product(_build(a, depth + 1), _build(b, depth + 1))
-    return _permutation(spec.params[0], spec.generators)
+    return _perm_closure(spec.params[0], spec.generators,
+                         f"⟨{';'.join(map(_cycle_notation, spec.generators))}⟩")
 
 
 def spectrum(g: FiniteGroup) -> tuple[set[int], set[int]]:

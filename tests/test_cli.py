@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from powertree import cli, closedform, errors, numutil, powergraph, treecount
+from powertree import cli, closedform, errors, groups, numutil, powergraph, treecount
 from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import KINDS, GroupSpec, build
@@ -801,3 +801,99 @@ def test_each_command_builds_its_group_once(monkeypatch, capsys):
     built.clear()
     assert main(["verify", "--max-n", "12"]) == 0
     assert built == [f"cyclic:{n}" for n in range(1, 13)]
+
+
+# (argv, environment, det file text, exit code, stderr line); the first five
+# lines name the group the builders and check_order name
+REFUSALS = [
+    (["kappa", "cyclic:0"], {}, None, 2, "error: cyclic parameter needs n >= 1, got 0"),
+    (["kappa", "elemabelian:10007^1"], {}, None, 3, "error: Z_10007 has order 10007 > cap 10000"),
+    (["kappa", "semidirect:10007:2"], {}, None, 3,
+     "error: Z_10007⋊Z_2 has order 20014 > cap 10000"),
+    (["verify", "--max-n", "20000"], {}, None, 3, "error: Z_20000 has order 20000 > cap 10000"),
+    (["divisor-graph", "20000"], {}, None, 3, "error: Z_20000 has order 20000 > cap 10000"),
+    (["kappa", "dihedral:0"], {}, None, 2, "error: dihedral parameter needs n >= 1, got 0"),
+    (["kappa", "quaternion:0"], {}, None, 2, "error: quaternion parameter needs n >= 1, got 0"),
+    (["kappa", "quaternion:2501"], {}, None, 3, "error: Q_10004 has order 10004 > cap 10000"),
+    (["kappa", "perm:0:()"], {}, None, 2, "error: permutation degree must be 1..256, got 0"),
+    (["kappa", "perm:9:(1 2 3 4 5 6 7 8 9);(1 2)"], {}, None, 3,
+     "error: ⟨(1 2 3 4 5 6 7 8 9);(1 2)⟩ exceeds the order cap 10000"),
+    (["kappa", "product:(sym:7)x(cyclic:2)"], {}, None, 3,
+     "error: S_7×Z_2 has order 10080 > cap 10000"),
+    (["classify"], {}, None, 2, "error: classify needs a target value or --a5"),
+    (["det"], {}, "5", 2, "error: matrix file must hold a JSON array of arrays"),
+    (["det"], {}, '{"a": 1}', 2, "error: matrix file must hold a JSON array of arrays"),
+    (["det"], {}, "[1, 2]", 2, "error: matrix file must hold a JSON array of arrays"),
+    (["kappa", "cyclic:3"], {"KAPPA_MAX_ORDER": "abc"}, None, 2,
+     "error: KAPPA_MAX_ORDER must be an integer, got 'abc'"),
+    (["kappa", "12"], {}, None, 2,
+     "error: missing group kind at position 0 (expected one of cyclic, dihedral, quaternion, "
+     "elemabelian, sym, alt, semidirect, product, perm)"),
+]
+
+
+@pytest.mark.parametrize("argv, env, matrix, code, line", REFUSALS,
+                         ids=[" ".join(r[0]) + (f" {r[2]}" if r[2] else "") for r in REFUSALS])
+def test_typed_refusal_prints_one_line(argv, env, matrix, code, line, tmp_path, monkeypatch,
+                                       capsys):
+    monkeypatch.delenv("KAPPA_MAX_ORDER", raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    if matrix is not None:
+        path = tmp_path / "matrix.json"
+        path.write_text(matrix, encoding="utf-8")
+        argv = [*argv, str(path)]
+    assert main(argv) == code  # an exception escaping main fails here
+    assert capsys.readouterr() == ("", line + "\n")
+
+
+def _without_timing(text):
+    payload = json.loads(text)
+    records = payload if isinstance(payload, list) else [payload]
+    times = [r.pop("elapsed_ms") for r in records]
+    return payload, times
+
+
+@pytest.mark.parametrize("argv", [["kappa", "cyclic:12"],
+                                  ["kappa", "dihedral:6", "--method", "all"]], ids=" ".join)
+def test_timing_adds_elapsed_ms_to_json_only(argv, capsys):
+    assert main([*argv, "--format", "json"]) == 0
+    plain_json = json.loads(capsys.readouterr().out)
+    assert main([*argv, "--format", "json", "--timing"]) == 0
+    timed, times = _without_timing(capsys.readouterr().out)
+    assert timed == plain_json
+    assert len(times) == (4 if "all" in argv else 1)
+    assert all(type(t) is float and t >= 0 and round(t, 3) == t for t in times)
+    for fmt in ("plain", "factored"):
+        assert main([*argv, "--format", fmt]) == 0
+        untimed = capsys.readouterr()
+        assert main([*argv, "--format", fmt, "--timing"]) == 0
+        assert capsys.readouterr() == untimed
+
+
+def test_module_entry_point_runs():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {k: v for k, v in os.environ.items() if k != "KAPPA_MAX_ORDER"}
+    env["PYTHONPATH"] = src
+
+    def run(spec):
+        return subprocess.run([sys.executable, "-m", "powertree.cli", "kappa", spec],
+                              capture_output=True, text=True, env=env)
+
+    ok, refused = run("cyclic:6"), run("sym:8")
+    assert (ok.returncode, ok.stdout, ok.stderr) == (0, "540\n", "")
+    assert (refused.returncode, refused.stdout) == (3, "")
+    assert refused.stderr == "error: S_8 has order 40320 > cap 10000\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["kappa", "cyclic:12", "--method", "closed-form", "--format", "json"],
+    ["kappa", "dihedral:6", "--method", "closed-form"],
+    ["kappa", "quaternion:6", "--reduced", "--method", "closed-form"],
+], ids=" ".join)
+def test_closed_form_writes_the_rotation_record_once(argv, capsys):
+    groups.cyclic_poset.cache_clear()
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    info = groups.cyclic_poset.cache_info()
+    assert (info.misses, info.hits) == (1, 1)  # the build writes it, the closed form reads it

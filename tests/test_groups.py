@@ -17,7 +17,6 @@ from powertree.groups import (
     GroupSpec,
     _compose,
     _cycle_notation,
-    _permutation,
     _positions,
     build,
     count_cyclic_subgroups,
@@ -515,9 +514,11 @@ def test_perm_degree_cap(capsys):
     assert main(["kappa", "perm:256:(1 256)"]) == 0
     assert capsys.readouterr() == ("1\n", "")
     big = GroupSpec("perm", (300,), generators=(tuple(range(1, 300)) + (0,),))
-    for call in (lambda: build(big), big.render, lambda: _permutation(300, big.generators)):
-        with pytest.raises(InvalidSpec, match="degree must be 1..256, got 300"):
-            call()
+    empty = GroupSpec("perm", (0,), generators=((),))
+    for spec, degree in ((big, 300), (empty, 0)):  # both checked in one place, render too
+        for call in (lambda: build(spec), spec.render):
+            with pytest.raises(InvalidSpec, match=f"degree must be 1..256, got {degree}$"):
+                call()
 
 
 def _old_cycle_notation(perm):
@@ -664,6 +665,13 @@ def test_invalid_parameters():
         build(GroupSpec("elemabelian", (3, 0)))
     with pytest.raises(InvalidSpec):
         build(GroupSpec("perm", (3,), generators=((0, 0, 1),)))
+
+
+def test_finite_group_refuses_no_identity():
+    with pytest.raises(InvalidSpec, match="^a group needs at least the identity element$"):
+        FiniteGroup("E", 0, lambda a, b: 0, str)
+    with pytest.raises(InvalidSpec, match="^element 0 of Z_3' is not the identity$"):
+        FiniteGroup("Z_3'", 3, lambda a, b: (a + b + 1) % 3, str)
 
 
 @pytest.mark.parametrize(
