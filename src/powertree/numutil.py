@@ -29,7 +29,7 @@ from contextlib import closing
 from functools import lru_cache
 from itertools import accumulate, compress
 
-from .errors import OutOfRange
+from .errors import OutOfRange, TooLarge
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
 # psi_13 = 3317044064679887385961981, the smallest strong pseudoprime to all
@@ -332,11 +332,9 @@ def _first_split(n: int, sigmas: deque) -> int | None:
 def _factor_into(n: int, out: dict[int, int], sigmas: deque) -> bool:
     """Accumulate prime factors of n into out; False once sigmas run out.
 
-    n has no prime factor among the trial primes; sigmas holds the curves
+    n > 1 has no prime factor among the trial primes; sigmas holds the curves
     left to the whole try_factorize call.
     """
-    if n == 1:
-        return True
     if is_prime(n):
         out[n] = out.get(n, 0) + 1
         return True
@@ -386,10 +384,10 @@ def try_factorize(n: int) -> dict[int, int] | None:
 
 @lru_cache(maxsize=None)
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1; raises when the curve budget runs out."""
+    """Prime factorization of n >= 1; TooLarge when the curve budget runs out."""
     out = try_factorize(n)
     if out is None:
-        raise ValueError(f"could not factor {n}")
+        raise TooLarge(f"could not factor a {n.bit_length()}-bit number in {ECM_CURVES} curves")
     return dict(out)
 
 

@@ -23,7 +23,7 @@ from bisect import bisect_right
 
 from .errors import TooLarge, TrivialGroup
 from .groups import FiniteGroup
-from .treecount import _rows_connected
+from .treecount import MultiGraph
 
 # cyclic:2000 (1 777 660 edges) is written as JSON to a file in about 0.30 s at 17 MB peak RSS
 RENDER_EDGE_LIMIT = 2_000_000
@@ -71,16 +71,12 @@ class PowerGraph:
     def is_connected(self) -> bool:
         """The full graph is, through the identity. A class's generators are a
         clique, so the reduced graph is connected when its classes are, joined
-        by inclusion; class c is bit c - 1, the identity's class 0 left out."""
+        by inclusion; class c is vertex c - 1, the identity's class 0 left out."""
         if not self.first:
             return True
         below = self.group.poset.below
-        rows = [0] * (len(below) - 1)
-        for d, inside in enumerate(below):
-            for c in inside[1:]:  # class 0 first
-                rows[c - 1] |= 1 << d - 1
-                rows[d - 1] |= 1 << c - 1
-        return _rows_connected(rows)
+        return MultiGraph(len(below) - 1, [(c - 1, d - 1) for d, inside in enumerate(below)
+                                           for c in inside[1:]]).is_connected()  # class 0 first
 
     def _neighbourhoods(self) -> list[tuple[int, ...]]:
         if self._closed is None:

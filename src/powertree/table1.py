@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
+from .errors import DiscrepancyDetected
 from .groups import build
 from .specparse import parse_group_spec
 from .numutil import parse_factored
@@ -84,7 +85,7 @@ def compute_table() -> list[TableResult]:
     for row in GOLDEN_ROWS:
         g = build(parse_group_spec(row.spec))
         if g.order != row.order:
-            raise AssertionError(f"{row.name}: built order {g.order} != {row.order}")
+            raise DiscrepancyDetected(f"{row.name}: built order {g.order} != {row.order}")
         kappa = temperley_kappa(power_graph(g)).value
         reduced = None
         if row.kappa_reduced is not None:

@@ -119,20 +119,6 @@ class TreeNumber:
         return f"TreeNumber({format_decimal(self.value)})"
 
 
-def _rows_connected(rows) -> bool:
-    """Whether the graph of the bit rows `rows` is connected; one OR per vertex."""
-    seen = frontier = 1 if rows else 0
-    while frontier:
-        reach = 0
-        while frontier:
-            low = frontier & -frontier
-            reach |= rows[low.bit_length() - 1]
-            frontier ^= low
-        frontier = reach & ~seen
-        seen |= reach
-    return seen.bit_count() == len(rows)
-
-
 class MultiGraph:
     """Undirected graph with edge multiplicities and no self-loops."""
 
@@ -167,11 +153,21 @@ class MultiGraph:
         return sum(self._mult.values())
 
     def is_connected(self) -> bool:
+        """A search from vertex 0 over bit rows, one OR per vertex reached."""
         rows = [0] * self.vertex_count
         for a, b in self._mult:
             rows[a] |= 1 << b
             rows[b] |= 1 << a
-        return _rows_connected(rows)
+        seen = frontier = 1 if rows else 0
+        while frontier:
+            reach = 0
+            while frontier:
+                low = frontier & -frontier
+                reach |= rows[low.bit_length() - 1]
+                frontier ^= low
+            frontier = reach & ~seen
+            seen |= reach
+        return seen.bit_count() == len(rows)
 
     def __repr__(self):
         return f"MultiGraph(n={self.vertex_count}, edges={self.edges()})"
@@ -261,22 +257,24 @@ def _root_deleted_determinant(adj: list[dict], kept) -> tuple[int, int, int]:
     on `kept`, with the pivots taken and the entries they updated.
 
     `adj[v]` maps each neighbour u of v to the Laplacian entry -w(u, v) and
-    is consumed. The root r is the vertex of most neighbours. The pivots
-    come in minimum-degree order from a bucket queue; a zero pivot gives 0.
-    A pivot with k neighbours updates k(k + 1)/2 entries: k diagonal ones
-    and one per pair of neighbours. Every entry, and the pivot product, is
-    a pair (numerator, denominator) of ints, reduced by one gcd when it is
-    stored; the denominators stay positive because the pivots of a positive
+    is consumed. The root r is the vertex of most neighbours. Each row holds
+    its diagonal entry beside its neighbours' entries, so one rule updates
+    them all: a pivot with k neighbours applies entry(a, b) -= x_a x_b / pivot
+    to each of the k(k + 1)/2 pairs of its neighbours, a = b included. The
+    pivots come in minimum-degree order from a bucket queue; a zero pivot
+    gives 0. Every entry, and the pivot product, is a pair (numerator,
+    denominator) of ints, reduced by one gcd when it is stored; the
+    denominators stay positive because the pivots of a positive
     semidefinite matrix are.
     """
     root = max(kept, key=lambda v: len(adj[v]))
-    diag = {v: (-sum(adj[v].values()), 1) for v in kept}
     rows = {v: adj[v] for v in kept if v != root}
-    for row in rows.values():
+    for v, row in rows.items():
+        row[v] = -sum(row.values())  # the diagonal, so a row's length is its degree + 1
         row.pop(root, None)
         for u, x in row.items():
             row[u] = (x, 1)
-    buckets = [set() for _ in range(len(rows))]
+    buckets = [set() for _ in range(len(rows) + 1)]
     for v, row in rows.items():
         buckets[len(row)].add(v)
     det_n, det_d = 1, 1
@@ -285,13 +283,13 @@ def _root_deleted_determinant(adj: list[dict], kept) -> tuple[int, int, int]:
         while not buckets[low]:
             low += 1
         v = buckets[low].pop()
-        pn, pd = diag[v]
+        row = rows.pop(v)
+        pn, pd = row.pop(v)
         if not pn:
             return 0, pivots, updates
         n, d = det_n * pn, det_d * pd
         g = gcd(n, d)
         det_n, det_d = n // g, d // g
-        row = rows.pop(v)
         nbrs = list(row.items())
         pivots += 1
         updates += len(nbrs) * (len(nbrs) + 1) // 2
@@ -300,18 +298,13 @@ def _root_deleted_determinant(adj: list[dict], kept) -> tuple[int, int, int]:
         for i, (a, (xn, xd)) in enumerate(nbrs):
             ra = rows[a]
             del ra[v]
-            # f = x / pivot, and entry -= f * y for each later neighbour y
+            # f = x / pivot, and entry -= f * y for this and each later
+            # neighbour y; off-diagonal entries only grow in size, so the
+            # nonzero pattern is exactly the symbolic fill
             fn, fd = xn * pd, xd * pn
             g = gcd(fn, fd)
             fn, fd = fn // g, fd // g
-            an, ad = diag[a]
-            tn, td = fn * xn, fd * xd
-            n, d = an * td - tn * ad, ad * td
-            g = gcd(n, d)
-            diag[a] = (n // g, d // g)
-            # Schur update; off-diagonal entries only grow in size, so the
-            # nonzero pattern is exactly the symbolic fill
-            for b, (yn, yd) in nbrs[i + 1 :]:
+            for b, (yn, yd) in nbrs[i:]:
                 tn, td = fn * yn, fd * yd
                 entry = ra.get(b)
                 if entry is None:

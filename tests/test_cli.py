@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from powertree import cli, closedform, errors, groups, numutil, powergraph, treecount
+from powertree import cli, closedform, errors, groups, numutil, powergraph, table1, treecount
 from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import KINDS, GroupSpec, build
@@ -417,11 +417,38 @@ def test_cmd_kappa_resource_exit(capsys):
     assert main(["kappa", "cyclic:10001"]) == 3
 
 
+@pytest.mark.parametrize("command", ["kappa cyclic:{}", "divisor-graph {}"])
+def test_an_order_that_resists_factoring_exits_3(monkeypatch, capsys, command):
+    # the message gives the order's size, never its digits
+    hard = numutil.next_prime(2**100) * numutil.next_prime(2**101)
+    monkeypatch.setenv("KAPPA_MAX_ORDER", str(10**70))
+    monkeypatch.setattr(numutil, "ECM_CURVES", 2)
+    assert main(command.format(hard).split()) == 3
+    assert capsys.readouterr() == ("", "error: could not factor a 202-bit number in 2 curves\n")
+    _no_child_left()
+
+
 def test_cmd_table1(capsys):
     assert main(["table1"]) == 0
     out = capsys.readouterr().out
     assert "28/28 rows match" in out
     assert "FAIL" not in out
+
+
+def test_cmd_table1_reports_a_wrong_row(monkeypatch, capsys):
+    z3 = table1.GOLDEN_ROWS[2]
+    monkeypatch.setattr(table1, "GOLDEN_ROWS", (z3._replace(order=4),))
+    assert main(["table1"]) == 1
+    assert capsys.readouterr() == ("", "discrepancy: Z_3: built order 3 != 4\n")
+    monkeypatch.setattr(table1, "GOLDEN_ROWS", (z3._replace(kappa="2", kappa_reduced="2"), z3))
+    assert main(["table1"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.out.splitlines()
+    assert captured.err == ""
+    assert lines[1].split() == ["3", "Z_3", "2", "FAIL", "2", "FAIL"]
+    assert lines[2:4] == ["     computed kappa = 3", "     computed reduced kappa = 1"]
+    assert lines[4].split() == ["3", "Z_3", "3", "PASS", "1", "PASS"]
+    assert lines[5:] == ["1/2 rows match"]
 
 
 def test_cmd_verify(capsys):

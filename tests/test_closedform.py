@@ -313,6 +313,11 @@ def test_nonpositive_sizes_raise_out_of_range():
             call()
 
 
+def test_elementary_abelian_needs_a_prime():
+    with pytest.raises(NotPrime, match="4 is not prime"):
+        kappa_elementary_abelian(4, 2)
+
+
 def test_counted_factors_and_exact_division():
     count = TreeNumber.from_powers("Z_6", [(6, 2), (1, 5), (7, 0), (3, -1)])
     assert count.value == 12

@@ -1,3 +1,4 @@
+import ast
 import re
 import tracemalloc
 from collections import Counter
@@ -455,6 +456,16 @@ def test_no_other_module_reads_a_groups_private_fields():
                for n, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
                if private.search(line)]
     assert readers == []
+
+
+def test_no_module_imports_another_modules_private_name():
+    """Each package module imports only the public names of the others."""
+    imports = [f"{path.name}:{node.lineno}: from .{node.module} import {alias.name}"
+               for path in sorted(Path(groups.__file__).parent.glob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names if alias.name.startswith("_")]
+    assert imports == []
 
 
 def _nested_spec(depth):

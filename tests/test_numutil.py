@@ -12,6 +12,7 @@ from types import SimpleNamespace
 import pytest
 
 from powertree import numutil
+from powertree.errors import TooLarge
 from powertree.numutil import (
     divisors,
     factorize,
@@ -114,7 +115,7 @@ def test_factoring_gives_up_after_one_shared_curve_budget(monkeypatch):
     # the rest checks only what giving up leads to, so it gives up sooner
     monkeypatch.setattr(numutil, "ECM_CURVES", 2)
     hard = next_prime(2**100) * next_prime(2**101)
-    with pytest.raises(ValueError, match="could not factor"):
+    with pytest.raises(TooLarge, match="could not factor a 202-bit number in 2 curves"):
         factorize(hard)
     counted = TreeNumber.from_powers("test", [(hard, 1), (6, 2)])
     assert counted.value == 36 * hard
@@ -473,6 +474,13 @@ def test_a_helper_that_stops_writing_leaves_its_curves_here(monkeypatch, written
         assert list(sigmas) == _sequential(COFACTORS[name])[1]
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_an_empty_budget_splits_nothing(monkeypatch):
+    monkeypatch.setattr(numutil, "_ecm_curve", None)  # no curve may run
+    sigmas = deque()
+    assert numutil._first_split(next_prime(2**40) * next_prime(2**41), sigmas) is None
+    assert not sigmas
 
 
 def test_no_helper_outlives_a_budget_that_runs_out(monkeypatch):

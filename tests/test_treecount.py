@@ -121,6 +121,8 @@ def test_temperley_triangle():
 
 def test_temperley_single_vertex():
     assert temperley_kappa(MultiGraph(1)).value == 1
+    with pytest.raises(ValueError, match="at least one vertex"):
+        temperley_kappa(MultiGraph(0))
 
 
 def test_temperley_power_graph_z6():
@@ -519,6 +521,8 @@ def test_quotient_reduced_trivial_group():
 
 
 def test_multigraph_validation():
+    with pytest.raises(ValueError, match="nonnegative"):
+        MultiGraph(-1)
     g = MultiGraph(3)
     with pytest.raises(ValueError):
         g.add_edge(1, 1)
