@@ -1,97 +1,42 @@
-"""Exact tree counts (spanning-tree numbers) of power graphs of finite groups."""
+"""Exact tree counts (spanning-tree numbers) of power graphs of finite groups.
 
-from .classify import (
-    ClassificationEntry,
-    classify_kappa_below_125,
-    epo_check_and_bound,
-    is_star_kappa_one,
-    prime_support_bound,
-    sylow_lower_bound,
-    verify_a5_recognition,
-)
-from .closedform import (
-    divisor_profile,
-    kappa_cyclic,
-    kappa_cyclic_expansion,
-    kappa_cyclic_reduced,
-    kappa_dihedral,
-    kappa_elementary_abelian,
-    kappa_epo,
-    kappa_pq,
-    kappa_quaternion_pow2,
-    kappa_quaternion_reduced,
-    kappa_semidirect_pq,
-)
-from .groups import (
-    CyclicPoset,
-    FiniteGroup,
-    GroupSpec,
-    build,
-    count_cyclic_subgroups,
-    direct_product,
-    max_order,
-    spectrum,
-)
-from .powergraph import (
-    PowerGraph,
-    clique_number,
-    is_complete,
-    power_graph,
-    reduced_power_graph,
-    to_dot,
-    to_json,
-)
-from .specparse import parse_group_spec
-from .treecount import (
-    MultiGraph,
-    TreeNumber,
-    block_decomposition_kappa,
-    exact_integer_determinant,
-    quotient_kappa,
-    temperley_kappa,
-)
+Every public name is loaded on first access: `import powertree` imports no
+submodule, and `powertree.build` imports `powertree.groups` (PEP 562).
+"""
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ClassificationEntry",
-    "CyclicPoset",
-    "FiniteGroup",
-    "GroupSpec",
-    "MultiGraph",
-    "PowerGraph",
-    "TreeNumber",
-    "block_decomposition_kappa",
-    "build",
-    "classify_kappa_below_125",
-    "clique_number",
-    "count_cyclic_subgroups",
-    "direct_product",
-    "divisor_profile",
-    "epo_check_and_bound",
-    "exact_integer_determinant",
-    "is_complete",
-    "is_star_kappa_one",
-    "kappa_cyclic",
-    "kappa_cyclic_expansion",
-    "kappa_cyclic_reduced",
-    "kappa_dihedral",
-    "kappa_elementary_abelian",
-    "kappa_epo",
-    "kappa_pq",
-    "kappa_quaternion_pow2",
-    "kappa_quaternion_reduced",
-    "kappa_semidirect_pq",
-    "max_order",
-    "parse_group_spec",
-    "power_graph",
-    "prime_support_bound",
-    "quotient_kappa",
-    "reduced_power_graph",
-    "spectrum",
-    "sylow_lower_bound",
-    "temperley_kappa",
-    "to_dot",
-    "to_json",
-    "verify_a5_recognition",
-]
+# each submodule with the public names it exports; __all__ and dir() read this too
+_EXPORTS = {
+    "classify": ("ClassificationEntry", "classify_kappa_below_125", "epo_check_and_bound",
+                 "is_star_kappa_one", "prime_support_bound", "sylow_lower_bound",
+                 "verify_a5_recognition"),
+    "closedform": ("divisor_profile", "kappa_cyclic", "kappa_cyclic_expansion",
+                   "kappa_cyclic_reduced", "kappa_dihedral", "kappa_elementary_abelian",
+                   "kappa_epo", "kappa_pq", "kappa_quaternion_pow2",
+                   "kappa_quaternion_reduced", "kappa_semidirect_pq"),
+    "groups": ("CyclicPoset", "FiniteGroup", "GroupSpec", "build", "count_cyclic_subgroups",
+               "direct_product", "max_order", "spectrum"),
+    "powergraph": ("PowerGraph", "clique_number", "is_complete", "power_graph",
+                   "reduced_power_graph", "to_dot", "to_json"),
+    "specparse": ("parse_group_spec",),
+    "treecount": ("MultiGraph", "TreeNumber", "block_decomposition_kappa",
+                  "exact_integer_determinant", "quotient_kappa", "temperley_kappa"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,8 +18,7 @@ from functools import cache
 from itertools import combinations
 from typing import NamedTuple
 
-from . import classify as classify_mod
-from . import closedform, table1
+from . import closedform
 from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge
 from .groups import FiniteGroup, GroupSpec, build, check_order
 from .numutil import format_decimal, in_lanes
@@ -116,6 +115,8 @@ def _emit_records(records, fmt: str, timing: bool) -> None:
 
 
 def cmd_table1(args) -> int:
+    from . import table1
+
     results = table1.compute_table()
     print(table1.render_table(results))
     return 0 if all(r.ok for r in results) else 1
@@ -187,6 +188,8 @@ def cmd_divisor_graph(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from . import classify as classify_mod
+
     if args.a5:
         report = classify_mod.verify_a5_recognition()
         print(json.dumps(report, ensure_ascii=False, indent=2))
@@ -232,59 +235,64 @@ def cmd_det(args) -> int:
     return 0
 
 
+# One row per subcommand: name, help, arguments as (name or flag, options), handler.
+COMMANDS = {
+    "kappa": ("tree count of a group's power graph", (
+        ("spec", {"help": "group spec, e.g. cyclic:12 or product:(cyclic:3)x(cyclic:2)"}),
+        ("--reduced", {"action": "store_true", "help": "delete the identity vertex first"}),
+        ("--method", {"default": "quotient", "choices": [
+            "quotient", "matrix-tree", "closed-form", "decomposition", "all"]}),
+        ("--format", {"default": "plain", "choices": ["plain", "factored", "json"]}),
+        ("--timing", {"action": "store_true", "help": "include elapsed_ms in JSON output"}),
+    ), cmd_kappa),
+    "table1": ("recompute the small-group golden table", (), cmd_table1),
+    "verify": ("closed forms vs determinants for Z_1..Z_N", (
+        ("--max-n", {"type": int, "required": True}),
+    ), cmd_verify),
+    "divisor-graph": ("middle-divisor graph of n (or its complement)", (
+        ("n", {"type": int}),
+        ("--complement", {"action": "store_true"}),
+        ("--format", {"default": "dot", "choices": ["dot", "json"]}),
+    ), cmd_divisor_graph),
+    "classify": ("groups with a given tree count (< 125)", (
+        ("target", {"nargs": "?", "type": int}),
+        ("--a5", {"action": "store_true", "help": "run the A_5 recognition evidence chain"}),
+    ), cmd_classify),
+    "graph": ("emit a power graph as DOT or JSON", (
+        ("spec", {}),
+        ("--reduced", {"action": "store_true"}),
+        ("--format", {"default": "dot", "choices": ["dot", "json"]}),
+    ), cmd_graph),
+    "det": ("exact determinant of a JSON matrix file", (("file", {}),), cmd_det),
+}
+
+
 @cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The one parser of this process; each parse still returns a new Namespace."""
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of one command, or of all when command is None.
+
+    Each is built once per process; each parse still returns a new Namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="powertree",
         description="Exact spanning-tree counts of power graphs of finite groups.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("kappa", help="tree count of a group's power graph")
-    p.add_argument("spec", help="group spec, e.g. cyclic:12 or product:(cyclic:3)x(cyclic:2)")
-    p.add_argument("--reduced", action="store_true", help="delete the identity vertex first")
-    p.add_argument("--method", default="quotient",
-                   choices=["quotient", "matrix-tree", "closed-form", "decomposition", "all"])
-    p.add_argument("--format", default="plain", choices=["plain", "factored", "json"])
-    p.add_argument("--timing", action="store_true", help="include elapsed_ms in JSON output")
-    p.set_defaults(func=cmd_kappa)
-
-    p = sub.add_parser("table1", help="recompute the small-group golden table")
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("verify", help="closed forms vs determinants for Z_1..Z_N")
-    p.add_argument("--max-n", type=int, required=True)
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("divisor-graph", help="middle-divisor graph of n (or its complement)")
-    p.add_argument("n", type=int)
-    p.add_argument("--complement", action="store_true")
-    p.add_argument("--format", default="dot", choices=["dot", "json"])
-    p.set_defaults(func=cmd_divisor_graph)
-
-    p = sub.add_parser("classify", help="groups with a given tree count (< 125)")
-    p.add_argument("target", nargs="?", type=int)
-    p.add_argument("--a5", action="store_true",
-                   help="run the A_5 recognition evidence chain")
-    p.set_defaults(func=cmd_classify)
-
-    p = sub.add_parser("graph", help="emit a power graph as DOT or JSON")
-    p.add_argument("spec")
-    p.add_argument("--reduced", action="store_true")
-    p.add_argument("--format", default="dot", choices=["dot", "json"])
-    p.set_defaults(func=cmd_graph)
-
-    p = sub.add_parser("det", help="exact determinant of a JSON matrix file")
-    p.add_argument("file")
-    p.set_defaults(func=cmd_det)
-
+    # one command's parser still lists every command in its usage line
+    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in COMMANDS if command is None else (command,):
+        help_text, arguments, handler = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=handler)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    # a known command builds its parser alone; anything else gets the full tree
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except PowerTreeError as exc:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -702,6 +703,7 @@ def test_cmd_verify_minimal(capsys):
 
 
 def test_parser_is_built_once_per_process(monkeypatch, capsys):
+    """The parser is built once per command per process."""
     built = []
 
     real_init = argparse.ArgumentParser.__init__
@@ -730,6 +732,12 @@ def test_parser_is_built_once_per_process(monkeypatch, capsys):
         assert main(["kappa", "cyclic:6"]) == 0
         assert capsys.readouterr().out == "540\n"
         assert built == [1]
+        # another command builds its own parser once; kappa's stays cached
+        assert main(["divisor-graph", "12", "--format", "json"]) == 0
+        assert main(["divisor-graph", "6"]) == 0
+        assert main(["kappa", "cyclic:6"]) == 0
+        capsys.readouterr()
+        assert built == [1, 1]
     finally:
         clear()
 
@@ -738,22 +746,54 @@ def test_import_loads_only_what_a_default_call_uses():
     # none of these runs on a default call; the three powertree modules are
     # read from sys.modules by the bench child right after the import. verify
     # runs in forked lanes, which need no module for processes or pickling.
+    # The golden table and the A_5 chain load only for their own commands.
     unused = ("dataclasses", "inspect", "fractions", "decimal", "multiprocessing",
               "concurrent.futures", "socket", "subprocess")
     needed = ("powertree.closedform", "powertree.treecount", "powertree.numutil")
+    on_demand = ("powertree.classify", "powertree.table1")
     after_verify = ("multiprocessing", "concurrent.futures", "pickle")
     code = (
-        "import powertree.cli, sys\n"
-        f"print(sorted(m for m in {unused!r} if m in sys.modules))\n"
+        "import contextlib, io, sys\n"
+        "import powertree\n"
+        "print(sorted(m for m in sys.modules if m.startswith('powertree.')))\n"
+        "import powertree.cli\n"
+        f"print(sorted(m for m in {unused + on_demand!r} if m in sys.modules))\n"
         f"print(sorted(m for m in {needed!r} if m not in sys.modules))\n"
+        "def run(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        powertree.cli.main(list(argv))\n"
+        f"    print(argv[0], sorted(m for m in {on_demand!r} if m in sys.modules))\n"
+        "run('kappa', 'cyclic:12')\n"
+        "run('graph', 'dihedral:3', '--format', 'json')\n"
         "powertree.cli.main(['verify', '--max-n', '12'])\n"
-        f"print(sorted(m for m in {after_verify!r} if m in sys.modules))"
+        f"print(sorted(m for m in {after_verify + on_demand!r} if m in sys.modules))\n"
+        "run('table1')\n"
+        "run('classify', '3')\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
-    assert out == "[]\n[]\nall n up to 12 verified\n[]\n"
+    assert out == (
+        "[]\n[]\n[]\nkappa []\ngraph []\nall n up to 12 verified\n[]\n"
+        "table1 ['powertree.table1']\n"
+        "classify ['powertree.classify', 'powertree.table1']\n"
+    )
+
+
+CLI_TEXT = json.loads((Path(__file__).resolve().parent / "cli_text.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("case", CLI_TEXT, ids=[" ".join(c["argv"]) or "(none)" for c in CLI_TEXT])
+def test_cli_text_is_pinned(case, monkeypatch, capsys):
+    """Usage, help and error text, byte for byte, at a width of 80 columns."""
+    monkeypatch.setenv("COLUMNS", "80")
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert (code, captured.out, captured.err) == (case["code"], case["out"], case["err"])
 
 
 @pytest.mark.parametrize(
