@@ -1,7 +1,8 @@
 """Exact tree counts (spanning-tree numbers) of power graphs of finite groups.
 
-Every public name is loaded on first access: `import powertree` imports no
-submodule, and `powertree.build` imports `powertree.groups` (PEP 562).
+Every public name and submodule is loaded on first access: `import powertree`
+imports no submodule, `powertree.build` imports `powertree.groups` and
+`powertree.errors` imports that module (PEP 562).
 """
 
 from importlib import import_module
@@ -26,17 +27,21 @@ _EXPORTS = {
                   "exact_integer_determinant", "quotient_kappa", "temperley_kappa"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+_SUBMODULES = (*_EXPORTS, "cli", "errors", "numutil", "table1")
 
 __all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
-    if name not in _HOME:
+    if name in _HOME:
+        value = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    elif name in _SUBMODULES:
+        value = import_module(f".{name}", __name__)
+    else:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(import_module(f".{_HOME[name]}", __name__), name)
     globals()[name] = value  # later lookups skip this hook
     return value
 
 
 def __dir__():
-    return sorted({*globals(), *__all__})
+    return sorted({*globals(), *__all__, *_SUBMODULES})

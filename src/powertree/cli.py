@@ -268,20 +268,14 @@ COMMANDS = {
 
 
 @cache
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of one command, or of all when command is None.
-
-    Each is built once per process; each parse still returns a new Namespace.
-    """
+def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process; each parse still returns a new Namespace."""
     parser = argparse.ArgumentParser(
         prog="powertree",
         description="Exact spanning-tree counts of power graphs of finite groups.",
     )
-    # one command's parser still lists every command in its usage line
-    metavar = None if command is None else "{" + ",".join(COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in COMMANDS if command is None else (command,):
-        help_text, arguments, handler = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, arguments, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag, options in arguments:
             p.add_argument(flag, **options)
@@ -290,9 +284,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    # a known command builds its parser alone; anything else gets the full tree
-    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None).parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except PowerTreeError as exc:

@@ -27,20 +27,21 @@ def test_every_public_name_is_listed_star_imported_and_its_home_modules_own():
         assert getattr(home, name) is value, name
 
 
-def test_public_names_load_their_modules_on_first_access():
+def test_public_names_and_submodules_load_on_first_access():
     code = (
         "import sys, powertree\n"
         "loaded = lambda: sorted(m for m in sys.modules if m.startswith('powertree.'))\n"
         "print(loaded())\n"
         "powertree.parse_group_spec\n"
         "print(loaded())\n"
+        "print(powertree.treecount.as_multigraph.__name__, powertree.errors.TooLarge.__name__)\n"
         "print(hasattr(powertree, 'no_such_name'))\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": src}, check=True).stdout
     specparse = ["powertree.errors", "powertree.groups", "powertree.numutil", "powertree.specparse"]
-    assert out == f"[]\n{specparse}\nFalse\n"
+    assert out == f"[]\n{specparse}\nas_multigraph TooLarge\nFalse\n"
 
 
 def test_readme_library_example_shows_its_values():
