@@ -1,11 +1,12 @@
 """Finite group catalog: cyclic, dihedral, dicyclic, abelian and permutation groups.
 
-An element is its index in 0..order-1, index 0 the identity. A group keeps a
-multiplication and a label function on indices (no Cayley table, no element objects):
-Z_n, D_2n, Q_4n, pq groups, elementary abelian groups and direct products multiply by
-index arithmetic. Only a permutation group keeps its elements, each the byte string of
-its images on at most 256 points, and the index of each; two compose by one
-bytes.translate. The group also owns its poset of cyclic subgroups as one record, a
+An element is its index in 0..order-1, index 0 the identity. A group keeps the
+multiplication and label callables on indices it is handed, as its multiply and
+element_repr (no Cayley table, no element objects): Z_n, D_2n, Q_4n, pq groups,
+elementary abelian groups and direct products multiply by index arithmetic. Only
+a permutation group keeps its elements, each the byte string of its images on at
+most 256 points, and the index of each; two compose by one bytes.translate.
+The group also owns its poset of cyclic subgroups as one record, a
 CyclicPoset, filled from the powers of one element per cyclic subgroup; Z_n, D_2n
 and Q_4n, one rotation kind made by one builder, run no walk: cyclic_poset(m) writes
 the record of the rotations x of order m from the divisors of m, and the x^i y add
@@ -114,20 +115,21 @@ class FiniteGroup:
     cyclic_class[i] is the class of <i> in `poset`, the one record of the
     cyclic subgroups; classes are numbered in order of their first element,
     and the elements of one class are the generators of its subgroup.
-    mul(a, b) is the index of the product of elements a and b, and
-    element_repr(i) is element i's text, made by `label` only when asked.
+    multiply and element_repr are the callables handed in as `mul` and
+    `label`: multiply(a, b) is the index of the product of elements a and b,
+    and element_repr(i) is element i's text, made only when asked.
     """
 
-    __slots__ = ("name", "order", "poset", "cyclic_class", "_mul", "_label")
+    __slots__ = ("name", "order", "poset", "cyclic_class", "multiply", "element_repr")
 
     def __init__(self, name, order, mul, label):
         self.name = name
         self.order = order
         if order < 1:
             raise InvalidSpec("a group needs at least the identity element")
-        self._mul, self._label = mul, label
+        self.multiply, self.element_repr = mul, label
         for i in {1, order - 1, order // 2}:
-            if i < order and (self.multiply(0, i) != i or self.multiply(i, 0) != i):
+            if i < order and (mul(0, i) != i or mul(i, 0) != i):
                 raise InvalidSpec(f"element 0 of {name} is not the identity")
         self.cyclic_class, self.poset = self._classes()
 
@@ -156,7 +158,7 @@ class FiniteGroup:
 
     def powers(self, i: int) -> list[int]:
         """The indices of i^0, i^1, ..., i^(m-1), m the order of i, by multiplying."""
-        mul = self._mul
+        mul = self.multiply
         powers, y = [0], i
         while y != 0:
             powers.append(y)
@@ -173,31 +175,18 @@ class FiniteGroup:
                    for c, below in enumerate(self.poset.below)]
         return [members[c] for c in self.cyclic_class]
 
-    def multiply(self, a: int, b: int) -> int:
-        return self._mul(a, b)
-
-    def element_repr(self, i: int) -> str:
-        return self._label(i)
-
     def __repr__(self):
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
 def _positions(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(generators, inside) for <x> of order m, as ascending exponents k of x^k:
-    the k with gcd(k, m) = 1, which generate <x> (k = 0 only for m = 1), and
-    k = 0 with each divisor 1 < k < m of m, x^k generating <x>'s one subgroup
-    of order m / k."""
+    the k with gcd(k, m) = 1, which generate <x> (k = 0 only for m = 1), and,
+    by cyclic_poset's rule, k = 0 with the divisors 1 < k < m of m, x^k
+    generating <x>'s one subgroup of order m / k."""
     if m == 1:
         return (0,), ()
-    generators, inside = [], [0]
-    for k in range(1, m):
-        d = gcd(k, m)
-        if d == 1:
-            generators.append(k)
-        elif d == k:
-            inside.append(k)
-    return tuple(generators), tuple(inside)
+    return tuple([k for k in range(1, m) if gcd(k, m) == 1]), (0, *divisors(m)[1:-1])
 
 
 def _multiples(i: int, n: int) -> list[int]:

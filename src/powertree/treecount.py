@@ -5,7 +5,9 @@ determinant det(J+Q)/n^2, multiplication over biconnected blocks, and, for
 power graphs, the weighted count on the quotient by cyclic subgroups. The
 graph routes work on a MultiGraph; a PowerGraph enters through
 `as_multigraph`, the one conversion. A disconnected graph counts 0 trees on
-every route. The brute-force oracles that check them live with the tests.
+every route; `connected` is the one connectivity search, run on a
+MultiGraph's edges and on a reduced power graph's class inclusions. The
+brute-force oracles that check them live with the tests.
 
 The quotient's weighted count is the determinant of its Laplacian with one
 root's row and column deleted, found by exact sparse elimination in
@@ -153,24 +155,30 @@ class MultiGraph:
         return sum(self._mult.values())
 
     def is_connected(self) -> bool:
-        """A search from vertex 0 over bit rows, one OR per vertex reached."""
-        rows = [0] * self.vertex_count
-        for a, b in self._mult:
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-        seen = frontier = 1 if rows else 0
-        while frontier:
-            reach = 0
-            while frontier:
-                low = frontier & -frontier
-                reach |= rows[low.bit_length() - 1]
-                frontier ^= low
-            frontier = reach & ~seen
-            seen |= reach
-        return seen.bit_count() == len(rows)
+        return connected(self.vertex_count, self._mult)
 
     def __repr__(self):
         return f"MultiGraph(n={self.vertex_count}, edges={self.edges()})"
+
+
+def connected(vertex_count: int, pairs) -> bool:
+    """Whether the graph on vertices 0..vertex_count-1 with edges `pairs`
+    (u, v) is connected: a search from vertex 0 over bit rows, one OR per
+    vertex reached."""
+    rows = [0] * vertex_count
+    for a, b in pairs:
+        rows[a] |= 1 << b
+        rows[b] |= 1 << a
+    seen = frontier = 1 if rows else 0
+    while frontier:
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= rows[low.bit_length() - 1]
+            frontier ^= low
+        frontier = reach & ~seen
+        seen |= reach
+    return seen.bit_count() == len(rows)
 
 
 def as_multigraph(graph) -> MultiGraph:

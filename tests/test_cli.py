@@ -390,6 +390,27 @@ def test_cmd_kappa_discrepancy_error_exit(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("discrepancy: quotient count")
 
 
+# each consistency guard of treecount, forced to fail by breaking what it
+# checks: (the treecount name replaced, its replacement from the real one,
+# a command that reaches the guard, the one line it prints)
+GUARDS = [
+    ("exact_integer_determinant", lambda real: lambda m: real(m) + 1,
+     "kappa cyclic:6 --method matrix-tree", "det(J+Q) of 15 bits not divisible by 6^2"),
+    ("_root_deleted_determinant", lambda real: lambda adj, kept: (1, 0, 0),
+     "kappa cyclic:5", "quotient count not divisible by the class sizes"),
+    ("try_factorize", lambda real: lambda n: {2: 1},
+     "kappa cyclic:5 --format factored", "factors do not multiply back to the 7-bit count"),
+]
+
+
+@pytest.mark.parametrize("name, broken, command, message", GUARDS, ids=[g[0] for g in GUARDS])
+def test_each_consistency_guard_exits_1_with_one_line(monkeypatch, capsys, name, broken, command, message):
+    # only DiscrepancyDetected carries the label "discrepancy" and exit code 1
+    monkeypatch.setattr(treecount, name, broken(getattr(treecount, name)))
+    assert main(command.split()) == 1
+    assert capsys.readouterr() == ("", f"discrepancy: {message}\n")
+
+
 def test_error_types_carry_exit_codes():
     types = [errors.PowerTreeError]
     for t in types:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from powertree import closedform
 from powertree.cli import main
 from powertree.closedform import (
     closed_form,
@@ -152,9 +153,14 @@ def test_kappa_cyclic_reduced_trivial():
         kappa_cyclic_reduced(1)
 
 
-def test_expansion_equals_determinant_form():
+def test_expansion_equals_determinant_form(monkeypatch):
     for n in list(range(1, 40)) + [48, 60, 72, 90, 96, 100]:
         assert kappa_cyclic_expansion(n).value == kappa_cyclic(n).value, n
+    # every degree one too high leaves the sum fractional; no command runs
+    # the expansion, so only the guard itself is checked
+    monkeypatch.setattr(closedform, "closed_degrees", lambda poset: [d + 1 for d in closed_degrees(poset)])
+    with pytest.raises(DiscrepancyDetected, match="did not divide exactly"):
+        kappa_cyclic_expansion(6)
 
 
 def test_expansion_divisor_cap():

@@ -146,6 +146,7 @@ def test_cyclic_partition_matches_closures(spec):
 def test_cyclic_6_order_profile():
     g = _build("cyclic:6")
     assert order_profile(g) == Counter({1: 1, 2: 1, 3: 2, 6: 2})
+    assert repr(g) == "FiniteGroup(Z_6, order=6)"
 
 
 def test_cyclic_element_counts_are_totients():
@@ -349,13 +350,16 @@ def test_positions_match_the_gcd_loop():
 
 def test_product_build_multiplies_only_to_check_the_identity(monkeypatch):
     calls = Counter()  # multiply calls per group name
-    multiply = FiniteGroup.multiply
+    init = FiniteGroup.__init__
 
-    def counting(self, a, b):
-        calls[self.name] += 1
-        return multiply(self, a, b)
+    def counting_init(self, name, order, mul, label):
+        def counted(a, b):
+            calls[name] += 1
+            return mul(a, b)
 
-    monkeypatch.setattr(FiniteGroup, "multiply", counting)
+        init(self, name, order, counted, label)
+
+    monkeypatch.setattr(FiniteGroup, "__init__", counting_init)
     g = _build("product:(sym:5)x(cyclic:60)")
     # each group checks its identity on at most three elements, both sides,
     # and each product multiply takes one multiply in each factor

@@ -122,6 +122,8 @@ def test_z4_power_graph_complete():
     graph = _graph("cyclic:4")
     assert is_complete(graph)
     assert graph.edge_count() == 6
+    assert repr(graph) == "PowerGraph(P(Z_4), n=4, m=6)"
+    assert repr(_graph("cyclic:4", reduced=True)) == "PowerGraph(P(Z_4#), n=3, m=3)"
 
 
 def test_a4_power_graph_shape():

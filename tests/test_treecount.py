@@ -18,6 +18,7 @@ from powertree.treecount import (
     TreeNumber,
     _root_deleted_determinant,
     block_decomposition_kappa,
+    connected,
     exact_integer_determinant,
     quotient_kappa,
     temperley_kappa,
@@ -451,9 +452,14 @@ def _weighted_adj(n, edges):
 # (pivots, Schur updates) of quotient_kappa's elimination, full and reduced,
 # counted before products listed their powers from their factors' powers.
 # They move only when the class numbering or the elimination order changes.
-# P*(S_7) and P*(D_10000) are disconnected, so their first pivot is zero.
+# P*(S_7), P*(A_7), P*(Z_2^13) and P*(D_10000) are disconnected, so their
+# first pivot is zero. A pivot with k neighbours counts k(k + 1)/2 updates,
+# its diagonal entries included; counting only the k(k - 1)/2 off-diagonal
+# ones gives 171 793 for Z_10×Z_30×Z_30's full graph.
 ELIMINATION_WORK = [
     ("sym:7", (2038, 9380), (0, 0)),
+    ("alt:7", (946, 525), (0, 0)),
+    ("elemabelian:2^13", (8191, 0), (0, 0)),
     ("dihedral:5000", (5019, 555), (0, 0)),
     ("quaternion:2500", (2519, 3055), (2518, 427)),
     ("cyclic:9240", (63, 13744), (62, 12588)),
@@ -461,6 +467,7 @@ ELIMINATION_WORK = [
     ("product:(alt:6)x(cyclic:24)", (1675, 15850), (1674, 11879)),
     ("product:(dihedral:12)x(cyclic:360)", (511, 51733), (510, 46887)),
     ("product:(cyclic:6)x(product:(cyclic:30)x(cyclic:30))", (783, 214179), (782, 205050)),
+    ("product:(cyclic:10)x(product:(cyclic:30)x(cyclic:30))", (1279, 187471), (1278, 173067)),
 ]
 
 
@@ -532,6 +539,14 @@ def test_multigraph_validation():
         g.add_edge(0, 1, 0)
 
 
+def test_connected_searches_from_vertex_0():
+    assert connected(0, []) and connected(1, [])
+    assert not connected(2, [])
+    assert connected(4, [(2, 3), (0, 2), (3, 1), (1, 3)])  # a pair may repeat
+    assert not connected(4, [(0, 1), (2, 3)])
+    assert not connected(3, [(1, 2)])  # vertex 0 alone
+
+
 def test_multigraph_contraction_merges_multiplicities():
     g = MultiGraph(3, [(0, 1), (0, 2), (1, 2)])
     c = contracted(g, 1, 2)
@@ -545,6 +560,7 @@ def test_multigraph_without_edge():
     assert h.multiplicity(0, 1) == 0
     assert h.multiplicity(1, 2) == 1
     assert g.multiplicity(0, 1) == 2  # original untouched
+    assert repr(h) == "MultiGraph(n=3, edges=[(1, 2, 1)])"
 
 
 def test_treenumber_factored_strings():
@@ -570,7 +586,10 @@ def test_treenumber_multiplication():
     c = a * b
     assert c.value == 324
     assert c.factorization == {2: 2, 3: 4}
-    assert a == 12 and a != 13
+    assert a == 12 and a != 13 and int(a) == 12
+    assert (a == "12") is False  # neither side compares a TreeNumber with text
+    with pytest.raises(TypeError):
+        a * 2  # only a TreeNumber, with its pairs, multiplies a TreeNumber
     # a bare count past FACTOR_VALUE_LIMIT stays unfactored in a product
     assert (a * TreeNumber(FACTOR_VALUE_LIMIT + 1)).factorization is None
     assert (a * TreeNumber(FACTOR_VALUE_LIMIT)).factorization == {2: 152, 3: 1, 5: 150}
