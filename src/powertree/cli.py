@@ -16,7 +16,6 @@ import time
 from contextlib import closing
 from functools import cache
 from itertools import combinations
-from typing import NamedTuple
 
 from . import closedform
 from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge
@@ -26,30 +25,6 @@ from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
 from .specparse import parse_group_spec
 from .treecount import TreeNumber, exact_integer_determinant, temperley_kappa
 from .treecount import block_decomposition_kappa, check_dense_dim, quotient_kappa
-
-
-class OutputRecord(NamedTuple):
-    """One computed tree count; it is rendered, and factored, only on output."""
-
-    group: str
-    order: int
-    method: str
-    kappa: TreeNumber
-    reduced: bool
-    elapsed_ms: float
-
-    def to_dict(self, timing: bool = False) -> dict:
-        payload = {
-            "group": self.group,
-            "order": self.order,
-            "method": self.method,
-            "kappa": format_decimal(self.kappa.value),
-            "factorization": self.kappa.factored(),
-            "reduced": self.reduced,
-        }
-        if timing:
-            payload["elapsed_ms"] = round(self.elapsed_ms, 3)
-        return payload
 
 
 def _count(spec: GroupSpec, g: FiniteGroup, method: str, reduced: bool) -> TreeNumber | None:
@@ -70,7 +45,7 @@ def cmd_kappa(args) -> int:
     g = build(spec)
     every = args.method == "all"
     methods = ["quotient", "matrix-tree", "decomposition", "closed-form"] if every else [args.method]
-    records = []
+    counts = []  # (method, count, elapsed_ms) per route run
     for method in methods:
         start = time.perf_counter()
         try:
@@ -88,30 +63,28 @@ def cmd_kappa(args) -> int:
                 continue
             print(f"note: {missing}; using quotient", file=sys.stderr)
             method, result = "quotient", _count(spec, g, "quotient", args.reduced)
-        elapsed_ms = (time.perf_counter() - start) * 1000
-        records.append(OutputRecord(g.name, g.order, method, result, args.reduced, elapsed_ms))
-    values = {r.kappa for r in records}
-    if len(values) > 1:
+        counts.append((method, result, (time.perf_counter() - start) * 1000))
+    if len({count for _, count, _ in counts}) > 1:
         print("discrepancy between methods:", file=sys.stderr)
-        for r in records:
-            print(f"  {r.method}: {format_decimal(r.kappa.value)}", file=sys.stderr)
+        for method, count, _ in counts:
+            print(f"  {method}: {format_decimal(count.value)}", file=sys.stderr)
         return 1
-    _emit_records(records, args.format, args.timing)
-    return 0
-
-
-def _emit_records(records, fmt: str, timing: bool) -> None:
-    if fmt == "json":
-        payload = [r.to_dict(timing) for r in records]
+    if args.format == "json":
+        # one object per route; group, order and flag are the call's
+        payload = [
+            {"group": g.name, "order": g.order, "method": method,
+             "kappa": format_decimal(count.value), "factorization": count.factored(),
+             "reduced": args.reduced,
+             **({"elapsed_ms": round(elapsed_ms, 3)} if args.timing else {})}
+            for method, count, elapsed_ms in counts
+        ]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
                          ensure_ascii=False, indent=2))
-        return
-    for r in records:
-        text = format_decimal(r.kappa.value) if fmt == "plain" else r.kappa.factored()
-        if len(records) > 1:
-            print(f"{r.method}: {text}")
-        else:
-            print(text)
+        return 0
+    for method, count, _ in counts:
+        text = format_decimal(count.value) if args.format == "plain" else count.factored()
+        print(f"{method}: {text}" if len(counts) > 1 else text)
+    return 0
 
 
 def cmd_table1(args) -> int:

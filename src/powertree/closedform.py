@@ -13,8 +13,9 @@ count. One body serves the full and the identity-deleted graph: deleting
 the identity lowers every degree by one and drops the identity's factor.
 Everything is evaluated in exact integer or rational arithmetic. Each
 formula is a product of powers, written as (base, exponent) pairs with a
-negative exponent dividing; `TreeNumber.from_powers` evaluates it and keeps
-the pairs, so the count is factored from its bases when the output asks.
+negative exponent dividing; `TreeNumber.from_powers(pairs)` evaluates it,
+checks the division and keeps the pairs, so the count is factored from its
+bases when the output asks. No formula names its group; `kappa` does.
 `closed_form` is the one choice of a catalog group's formula, or of none.
 """
 
@@ -35,7 +36,7 @@ from .errors import (
     TrivialGroup,
 )
 from .groups import CyclicPoset, FiniteGroup, GroupSpec, cyclic_poset
-from .numutil import divisors, factorize, is_prime  # bench/child.py wraps factorize
+from .numutil import factorize, is_prime  # bench/child.py wraps factorize
 from .treecount import TreeNumber, closed_degrees, exact_integer_determinant
 
 EXPANSION_LIMIT = 20
@@ -79,8 +80,7 @@ def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
     ])
     bases = list(zip(diagonal, sizes))[drop:]
     middle = [(d, -1) for d in diagonal[2:]]
-    name = f"Z_{n} reduced" if reduced else f"Z_{n}"
-    return TreeNumber.from_powers(name, [*bases, (det, 1), *middle, (n - drop, -2)])
+    return TreeNumber.from_powers([*bases, (det, 1), *middle, (n - drop, -2)])
 
 
 def kappa_cyclic_reduced(n: int) -> TreeNumber:
@@ -96,14 +96,14 @@ def kappa_cyclic_expansion(n: int) -> TreeNumber:
     adjacency A off it. Expanding over the induced subgraphs S of A gives
     det = sum_S det A[S] * prod_{i not in S} r_i, up to those totients.
     """
-    middle = max(len(divisors(n)) - 2, 0)  # n = 1 has no middle divisors
+    poset = divisor_profile(n)
+    middle = max(len(poset.orders) - 2, 0)  # n = 1 has no middle divisors
     if middle > EXPANSION_LIMIT:
         raise TooManyDivisors(
             f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
         )
     from fractions import Fraction  # imported here: it pulls in decimal
 
-    poset = divisor_profile(n)
     closed = closed_degrees(poset)
     ratios = [Fraction(d, t) for d, t in zip(closed[2:], poset.sizes[2:])]
     adjacency = incomparability(poset)
@@ -146,7 +146,7 @@ def kappa_pq(p: int, q: int, reduced: bool = False) -> TreeNumber:
             (n - q + 1, p - 2),
             (n - p - q + 2, 1),
         ]
-    return TreeNumber.from_powers(f"Z_{n} reduced" if reduced else f"Z_{n}", bases)
+    return TreeNumber.from_powers(bases)
 
 
 def kappa_dihedral(n: int) -> TreeNumber:
@@ -160,7 +160,7 @@ def kappa_quaternion_reduced(n: int) -> TreeNumber:
     The unique involution is a cut vertex joining n triangles to the reduced
     graph of the rotation subgroup Z_2n, so the count is 3^n times that one.
     """
-    triangles = TreeNumber.from_powers(f"Q_{4 * n} reduced", [(3, n)])
+    triangles = TreeNumber.from_powers([(3, n)])
     return triangles * kappa_cyclic(2 * n, reduced=True)
 
 
@@ -168,7 +168,7 @@ def kappa_quaternion_pow2(n: int) -> TreeNumber:
     """Tree count of P(Q_4n) for n a power of two: 2^(5n-1) * n^(2n-2)."""
     if n < 1 or n & (n - 1):
         raise NotPowerOfTwo(f"need n a power of two, got {n}")
-    return TreeNumber.from_powers(f"Q_{4 * n}", [(2, 5 * n - 1), (n, 2 * n - 2)])
+    return TreeNumber.from_powers([(2, 5 * n - 1), (n, 2 * n - 2)])
 
 
 def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
@@ -181,7 +181,7 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
         raise OutOfRange(f"rank must be >= 1, got {k}")
     if not is_prime(p):
         raise NotPrime(f"{p} is not prime")
-    return TreeNumber.from_powers(f"Z_{p}^{k}", [(p, (p**k - 1) // (p - 1) * (p - 2))])
+    return TreeNumber.from_powers([(p, (p**k - 1) // (p - 1) * (p - 2))])
 
 
 def epo_powers(g: FiniteGroup) -> list[tuple[int, int]]:
@@ -197,7 +197,7 @@ def kappa_epo(g: FiniteGroup) -> TreeNumber:
     for m, _ in powers:
         if not is_prime(m):
             raise NotEPO(f"{g.name} has an element of composite order {m}")
-    return TreeNumber.from_powers(g.name, powers)
+    return TreeNumber.from_powers(powers)
 
 
 def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
@@ -206,7 +206,7 @@ def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
         raise InvalidPair(
             f"need primes with q < p and p = 1 mod q, got ({p}, {q})"
         )
-    return TreeNumber.from_powers(f"Z_{p}⋊Z_{q}", [(p, p - 2), (q, p * (q - 2))])
+    return TreeNumber.from_powers([(p, p - 2), (q, p * (q - 2))])
 
 
 def closed_form(spec: GroupSpec, g: FiniteGroup, reduced: bool) -> TreeNumber | None:

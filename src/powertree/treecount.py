@@ -54,14 +54,16 @@ class TreeNumber:
         self._factors = None
 
     @classmethod
-    def from_powers(cls, name: str, powers) -> TreeNumber:
+    def from_powers(cls, powers) -> TreeNumber:
         """The count prod b^e over (base, exponent) pairs; e < 0 divides exactly."""
         powers = [(b, e) for b, e in powers if e and b != 1]
-        value, rem = divmod(
-            prod(b**e for b, e in powers if e > 0), prod(b**-e for b, e in powers if e < 0)
-        )
+        num = prod(b**e for b, e in powers if e > 0)
+        den = prod(b**-e for b, e in powers if e < 0)
+        value, rem = divmod(num, den)
         if rem:
-            raise DiscrepancyDetected(f"kappa({name}) division not exact")
+            raise DiscrepancyDetected(
+                f"product of {num.bit_length()} bits not divisible by {den.bit_length()} bits"
+            )
         count = cls(value)
         count._powers = powers
         return count

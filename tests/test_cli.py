@@ -1,6 +1,7 @@
 import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -186,6 +187,42 @@ def test_cmd_kappa_json(capsys):
             "factorization": "2^14*3^6*5*131",
             "reduced": False,
         }
+
+
+def _d12_record_text(method):
+    """One D_12 record of a JSON list, as `kappa --format json` prints it."""
+    return (
+        f'  {{\n    "group": "D_12",\n    "order": 12,\n    "method": "{method}",\n'
+        '    "kappa": "540",\n    "factorization": "2^2*3^3*5",\n    "reduced": false\n  }'
+    )
+
+
+# kappa's stdout, byte for byte; elapsed_ms's value is masked as MS.
+KAPPA_TEXT = [
+    (["cyclic:12", "--format", "json"],
+     '{\n  "group": "Z_12",\n  "order": 12,\n  "method": "quotient",\n'
+     '  "kappa": "7823278080",\n  "factorization": "2^14*3^6*5*131",\n'
+     '  "reduced": false\n}\n'),
+    (["dihedral:6", "--method", "all", "--format", "json"],
+     "[\n" + ",\n".join(
+         _d12_record_text(m) for m in ("quotient", "matrix-tree", "decomposition", "closed-form")
+     ) + "\n]\n"),
+    (["dihedral:6", "--method", "all", "--format", "factored"],
+     "quotient: 2^2*3^3*5\nmatrix-tree: 2^2*3^3*5\n"
+     "decomposition: 2^2*3^3*5\nclosed-form: 2^2*3^3*5\n"),
+    (["cyclic:12", "--format", "json", "--timing"],
+     '{\n  "group": "Z_12",\n  "order": 12,\n  "method": "quotient",\n'
+     '  "kappa": "7823278080",\n  "factorization": "2^14*3^6*5*131",\n'
+     '  "reduced": false,\n  "elapsed_ms": MS\n}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, text", KAPPA_TEXT, ids=[" ".join(a) for a, _ in KAPPA_TEXT])
+def test_cmd_kappa_output_text(argv, text, capsys):
+    # key order, indentation and the one-object-or-list choice, as printed
+    assert main(["kappa", *argv]) == 0
+    out = capsys.readouterr().out
+    assert re.sub(r'"elapsed_ms": \d+(\.\d+)?', '"elapsed_ms": MS', out) == text
 
 
 def test_cmd_kappa_reduced(capsys):

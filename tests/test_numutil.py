@@ -117,7 +117,7 @@ def test_factoring_gives_up_after_one_shared_curve_budget(monkeypatch):
     hard = next_prime(2**100) * next_prime(2**101)
     with pytest.raises(TooLarge, match="could not factor a 202-bit number in 2 curves"):
         factorize(hard)
-    counted = TreeNumber.from_powers("test", [(hard, 1), (6, 2)])
+    counted = TreeNumber.from_powers([(hard, 1), (6, 2)])
     assert counted.value == 36 * hard
     assert counted.factorization is None
 
@@ -136,7 +136,7 @@ def test_tree_count_gives_up_once(monkeypatch):
 
     monkeypatch.setattr(numutil, "_ecm_curve", logged_curve)
     hard = next_prime(2**100) * next_prime(2**101)
-    count = TreeNumber.from_powers("t", [(hard, 1), (6, 2), (2, -1)])
+    count = TreeNumber.from_powers([(hard, 1), (6, 2), (2, -1)])
     for _ in range(3):
         assert count.factorization is None
         assert count.factored() == str(18 * hard)
