@@ -8,7 +8,7 @@ from math import prod
 from typing import NamedTuple
 
 from .closedform import epo_powers, kappa_epo
-from .errors import OutOfRange
+from .errors import InvalidSpec
 from .groups import FiniteGroup, GroupSpec, build, count_cyclic_subgroups
 from .numutil import factorize, is_prime, next_prime, p_part, primes_upto
 from .powergraph import power_graph
@@ -79,7 +79,7 @@ def prime_support_bound(kappa: int) -> set[int]:
     confine the group's prime divisors to the primes below p.
     """
     if kappa < 1:
-        raise OutOfRange("tree counts are >= 1 for groups")
+        raise InvalidSpec("tree counts are >= 1 for groups")
     p = 2
     while kappa >= p ** (p - 2):
         p = next_prime(p)
@@ -103,7 +103,7 @@ def epo_check_and_bound(g: FiniteGroup) -> int:
 def classify_kappa_below_125(target: int) -> ClassificationEntry | None:
     """Groups with the given tree count, for targets below 125; None if none."""
     if not 1 <= target < 125:
-        raise OutOfRange(f"classification covers 1 <= kappa < 125, got {target}")
+        raise InvalidSpec(f"classification covers 1 <= kappa < 125, got {target}")
     return _CLASSIFICATION.get(target)
 
 

@@ -18,7 +18,7 @@ from functools import cache
 from itertools import combinations
 
 from . import closedform
-from .errors import InvalidSpec, OutOfRange, PowerTreeError, TooLarge
+from .errors import InvalidSpec, PowerTreeError, TooLarge
 from .groups import FiniteGroup, GroupSpec, build, check_order
 from .numutil import format_decimal, in_lanes
 from .powergraph import power_graph, reduced_power_graph, to_dot, to_json
@@ -115,7 +115,7 @@ def _verify_run(ns) -> str | None:
 
 def cmd_verify(args) -> int:
     if args.max_n < 1:
-        raise OutOfRange("--max-n must be >= 1")
+        raise InvalidSpec("--max-n must be >= 1")
     check_order(args.max_n, f"Z_{args.max_n}")
     # Z_n's full graph has the largest determinant, of n rows
     check_dense_dim(args.max_n, "verify --max-n")
@@ -169,7 +169,7 @@ def cmd_classify(args) -> int:
         failures = [r for r in report if r["verdict"] != "PASS"]
         return 0 if not failures else 1
     if args.target is None:
-        raise OutOfRange("classify needs a target value or --a5")
+        raise InvalidSpec("classify needs a target value or --a5")
     entry = classify_mod.classify_kappa_below_125(args.target)
     if entry is None:
         print(f"no group has tree count {args.target}")

@@ -11,11 +11,11 @@ totient and the classes inside it. The determinant, the subset expansion and
 `closed_degrees` gives each class's degree plus one, as for the quotient
 count. One body serves the full and the identity-deleted graph: deleting
 the identity lowers every degree by one and drops the identity's factor.
-Everything is evaluated in exact integer or rational arithmetic. Each
-formula is a product of powers, written as (base, exponent) pairs with a
-negative exponent dividing; `TreeNumber.from_powers(pairs)` evaluates it,
-checks the division and keeps the pairs, so the count is factored from its
-bases when the output asks. No formula names its group; `kappa` does.
+Everything is evaluated in exact integer arithmetic. Each formula is a
+product of powers, written as (base, exponent) pairs with a negative
+exponent dividing; `TreeNumber.from_powers(pairs)` evaluates it, checks the
+division and keeps the pairs, so the count is factored from its bases when
+the output asks. No formula names its group; `kappa` does.
 `closed_form` is the one choice of a catalog group's formula, or of none.
 """
 
@@ -24,20 +24,10 @@ from __future__ import annotations
 from collections import Counter
 from math import prod
 
-from .errors import (
-    DiscrepancyDetected,
-    EqualPrimes,
-    InvalidPair,
-    NotEPO,
-    NotPowerOfTwo,
-    NotPrime,
-    OutOfRange,
-    TooManyDivisors,
-    TrivialGroup,
-)
+from .errors import DiscrepancyDetected, InvalidSpec, NotEPO, TooLarge
 from .groups import CyclicPoset, FiniteGroup, GroupSpec, cyclic_poset
-from .numutil import factorize, is_prime  # bench/child.py wraps factorize
-from .treecount import TreeNumber, closed_degrees, exact_integer_determinant
+from .numutil import divisors, factorize, is_prime  # bench/child.py wraps factorize
+from .treecount import TreeNumber, check_dense_dim, closed_degrees, exact_integer_determinant
 
 EXPANSION_LIMIT = 20
 
@@ -70,9 +60,10 @@ def kappa_cyclic(n: int, reduced: bool = False) -> TreeNumber:
     ratio diagonals into plain integers and adjacency ones into totients.
     """
     if reduced and n < 2:
-        raise TrivialGroup("reduced tree count needs n >= 2")
+        raise InvalidSpec("reduced tree count needs n >= 2")
     drop = 1 if reduced else 0
     poset = divisor_profile(n)
+    check_dense_dim(len(poset.orders) - 2, "cyclic closed form")
     diagonal, sizes = closed_degrees(poset, drop), poset.sizes
     det = exact_integer_determinant([
         [diagonal[i] if i == j else sizes[i] * joined for j, joined in enumerate(row, 2)]
@@ -91,46 +82,39 @@ def kappa_cyclic_reduced(n: int) -> TreeNumber:
 def kappa_cyclic_expansion(n: int) -> TreeNumber:
     """Tree count of P(Z_n) by explicit subset summation; equals kappa_cyclic.
 
-    Each middle row of the determinant is divided by its totient, leaving
-    the ratio r = (d + 1)/phi on the diagonal and the incomparability
-    adjacency A off it. Expanding over the induced subgraphs S of A gives
-    det = sum_S det A[S] * prod_{i not in S} r_i, up to those totients.
+    Each middle row of the determinant is divided by its totient t, leaving
+    the ratio d/t on the diagonal (d its degree plus one) and the
+    incomparability adjacency A off it. Expanding over the induced subgraphs
+    S of A and scaling back by the totients gives the integer
+    T = sum_S det A[S] * prod_{i not in S} d_i * prod_{i in S} t_i,
+    and kappa = prod d^t over all classes * T / (prod of middle d * n^2).
     """
-    poset = divisor_profile(n)
-    middle = max(len(poset.orders) - 2, 0)  # n = 1 has no middle divisors
+    middle = max(len(divisors(n)) - 2, 0)  # n = 1 has no middle divisors
     if middle > EXPANSION_LIMIT:
-        raise TooManyDivisors(
-            f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap"
-        )
-    from fractions import Fraction  # imported here: it pulls in decimal
-
+        raise TooLarge(f"{middle} middle divisors exceed the 2^{EXPANSION_LIMIT} subset cap")
+    poset = divisor_profile(n)
     closed = closed_degrees(poset)
-    ratios = [Fraction(d, t) for d, t in zip(closed[2:], poset.sizes[2:])]
+    pairs = list(zip(closed[2:], poset.sizes[2:]))
     adjacency = incomparability(poset)
-    total = Fraction(0)
+    total = 0
     for mask in range(1 << middle):
         inside = [i for i in range(middle) if mask >> i & 1]
-        sub = [[adjacency[a][b] for b in inside] for a in inside]
-        det_a = exact_integer_determinant(sub)
-        if det_a == 0:
-            continue
-        outside = prod(
-            (r for i, r in enumerate(ratios) if not mask >> i & 1), start=Fraction(1)
-        )
-        total += det_a * outside
+        det_a = exact_integer_determinant([[adjacency[a][b] for b in inside] for a in inside])
+        if det_a:
+            total += det_a * prod(t if mask >> i & 1 else d for i, (d, t) in enumerate(pairs))
     outer = prod(d**t for d, t in zip(closed, poset.sizes))
-    kappa = outer * total / (prod(ratios, start=Fraction(1)) * n * n)
-    if kappa.denominator != 1:
+    kappa, rest = divmod(outer * total, prod(d for d, _ in pairs) * n * n)
+    if rest:
         raise DiscrepancyDetected("subset expansion did not divide exactly")
-    return TreeNumber(kappa.numerator)
+    return TreeNumber(kappa)
 
 
 def kappa_pq(p: int, q: int, reduced: bool = False) -> TreeNumber:
     """Tree count for Z_pq, distinct primes p, q, in fully factored form."""
     if p == q:
-        raise EqualPrimes(f"need distinct primes, got p = q = {p}")
+        raise InvalidSpec(f"need distinct primes, got p = q = {p}")
     if not is_prime(p) or not is_prime(q):
-        raise NotPrime(f"kappa_pq needs two primes, got ({p}, {q})")
+        raise InvalidSpec(f"kappa_pq needs two primes, got ({p}, {q})")
     n = p * q
     if reduced:
         bases = [
@@ -160,14 +144,14 @@ def kappa_quaternion_reduced(n: int) -> TreeNumber:
     The unique involution is a cut vertex joining n triangles to the reduced
     graph of the rotation subgroup Z_2n, so the count is 3^n times that one.
     """
-    triangles = TreeNumber.from_powers([(3, n)])
-    return triangles * kappa_cyclic(2 * n, reduced=True)
+    rotations = kappa_cyclic(2 * n, reduced=True)  # its cap comes before 3^n
+    return TreeNumber.from_powers([(3, n)]) * rotations
 
 
 def kappa_quaternion_pow2(n: int) -> TreeNumber:
     """Tree count of P(Q_4n) for n a power of two: 2^(5n-1) * n^(2n-2)."""
     if n < 1 or n & (n - 1):
-        raise NotPowerOfTwo(f"need n a power of two, got {n}")
+        raise InvalidSpec(f"need n a power of two, got {n}")
     return TreeNumber.from_powers([(2, 5 * n - 1), (n, 2 * n - 2)])
 
 
@@ -178,9 +162,9 @@ def kappa_elementary_abelian(p: int, k: int) -> TreeNumber:
     identity, so the count is p raised to (p-2) per subgroup.
     """
     if k < 1:
-        raise OutOfRange(f"rank must be >= 1, got {k}")
+        raise InvalidSpec(f"rank must be >= 1, got {k}")
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InvalidSpec(f"{p} is not prime")
     return TreeNumber.from_powers([(p, (p**k - 1) // (p - 1) * (p - 2))])
 
 
@@ -203,9 +187,7 @@ def kappa_epo(g: FiniteGroup) -> TreeNumber:
 def kappa_semidirect_pq(p: int, q: int) -> TreeNumber:
     """Tree count p^(p-2) * q^(p(q-2)) for the nonabelian group of order pq."""
     if not (is_prime(p) and is_prime(q) and q < p and (p - 1) % q == 0):
-        raise InvalidPair(
-            f"need primes with q < p and p = 1 mod q, got ({p}, {q})"
-        )
+        raise InvalidSpec(f"need primes with q < p and p = 1 mod q, got ({p}, {q})")
     return TreeNumber.from_powers([(p, p - 2), (q, p * (q - 2))])
 
 

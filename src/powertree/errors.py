@@ -1,8 +1,10 @@
 """Exception types shared across the package.
 
+A type names an outcome, not a cause: the message says what went wrong.
 Each type carries the CLI's exit code and stderr label for it, so the
-command line reports every error the same way: 2 for usage errors (the
-default), 3 when a resource cap is exceeded, 1 for a discrepancy.
+command line reports every error the same way: 2 for usage errors
+(`InvalidSpec`, `ParseError`, `NotEPO`), 3 when a size cap is exceeded
+(`TooLarge`), 1 for a discrepancy (`DiscrepancyDetected`).
 """
 
 
@@ -14,53 +16,17 @@ class PowerTreeError(Exception):
 
 
 class InvalidSpec(PowerTreeError):
-    """A group specification violates a parameter constraint."""
-
-
-class UnsupportedOrder(PowerTreeError):
-    """Requested group order exceeds the configured maximum."""
-
-    exit_code = 3
-
-
-class NotPrime(PowerTreeError):
-    """An argument required to be prime is not."""
-
-
-class TrivialGroup(PowerTreeError):
-    """Operation undefined on the one-element group."""
-
-
-class OutOfRange(PowerTreeError):
-    """Numeric argument outside the documented range."""
+    """An input (spec, parameter, option or file) violates a documented constraint."""
 
 
 class TooLarge(PowerTreeError):
-    """Input exceeds the size bound of an exact (exponential) method."""
+    """An input exceeds a documented size cap or work budget."""
 
     exit_code = 3
-
-
-class TooManyDivisors(PowerTreeError):
-    """Subset expansion would need more than 2^20 terms."""
-
-    exit_code = 3
-
-
-class EqualPrimes(PowerTreeError):
-    """The two primes must be distinct."""
-
-
-class NotPowerOfTwo(PowerTreeError):
-    """Parameter must be a power of two."""
 
 
 class NotEPO(PowerTreeError):
     """Group has a non-identity element of composite order."""
-
-
-class InvalidPair(PowerTreeError):
-    """Prime pair does not satisfy the congruence condition."""
 
 
 class ParseError(PowerTreeError):

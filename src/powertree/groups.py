@@ -28,7 +28,7 @@ from math import factorial, gcd, lcm
 from operator import add
 from typing import NamedTuple
 
-from .errors import InvalidSpec, NotPrime, UnsupportedOrder
+from .errors import InvalidSpec, TooLarge
 from .numutil import divisors, is_prime, phi
 
 DEFAULT_MAX_ORDER = 10_000
@@ -195,10 +195,10 @@ def _multiples(i: int, n: int) -> list[int]:
 
 
 def check_order(order: int, name: str) -> None:
-    """Raise UnsupportedOrder, before any work, for a group above the order cap."""
+    """Raise TooLarge, before any work, for a group above the order cap."""
     cap = max_order()
     if order > cap:
-        raise UnsupportedOrder(f"{name} has order {order} > cap {cap}")
+        raise TooLarge(f"{name} has order {order} > cap {cap}")
 
 
 @lru_cache(maxsize=1)  # a closed form after a build asks for the same record
@@ -327,7 +327,7 @@ def _perm_closure(degree, generators, name):
                     index[h] = len(index)
                     nxt.append(h)
                     if len(index) > cap:
-                        raise UnsupportedOrder(f"{name} exceeds the order cap {cap}")
+                        raise TooLarge(f"{name} exceeds the order cap {cap}")
         frontier = nxt
     return _PermGroup(name, list(index), index)
 
@@ -517,5 +517,5 @@ def spectrum(g: FiniteGroup) -> tuple[set[int], set[int]]:
 def count_cyclic_subgroups(g: FiniteGroup, p: int) -> int:
     """Number of distinct cyclic subgroups of prime order p."""
     if not is_prime(p):
-        raise NotPrime(f"{p} is not prime")
+        raise InvalidSpec(f"{p} is not prime")
     return g.poset.orders.count(p)

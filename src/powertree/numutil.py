@@ -29,7 +29,7 @@ from contextlib import closing
 from functools import lru_cache
 from itertools import accumulate, compress
 
-from .errors import OutOfRange, TooLarge
+from .errors import InvalidSpec, TooLarge
 
 # The first 13 primes as witnesses make Miller-Rabin deterministic below
 # psi_13 = 3317044064679887385961981, the smallest strong pseudoprime to all
@@ -355,7 +355,7 @@ def _trial_block(start: int) -> int:
 def try_factorize(n: int) -> dict[int, int] | None:
     """Full prime factorization of n >= 1, or None when ECM_CURVES curves fail."""
     if n < 1:
-        raise OutOfRange("n must be >= 1")
+        raise InvalidSpec("n must be >= 1")
     out: dict[int, int] = {}
     for p in _TRIAL_PRIMES[:_BLOCK]:
         if p * p > n:

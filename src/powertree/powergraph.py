@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 
-from .errors import TooLarge, TrivialGroup
+from .errors import InvalidSpec, TooLarge
 from .groups import FiniteGroup
 from .treecount import connected
 
@@ -110,7 +110,7 @@ def power_graph(g: FiniteGroup) -> PowerGraph:
 def reduced_power_graph(g: FiniteGroup) -> PowerGraph:
     """power_graph(g) with the identity vertex deleted; may be disconnected."""
     if g.order < 2:
-        raise TrivialGroup("reduced power graph needs |G| >= 2")
+        raise InvalidSpec("reduced power graph needs |G| >= 2")
     return PowerGraph(g, 1)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd, prod
 
-from .errors import DiscrepancyDetected, TooLarge, TrivialGroup
+from .errors import DiscrepancyDetected, InvalidSpec, TooLarge
 from .numutil import format_decimal, format_factored, try_factorize
 
 FACTOR_VALUE_LIMIT = 10**150
@@ -376,7 +376,7 @@ def quotient_kappa(poset, reduced: bool = False) -> TreeNumber:
     """
     _, sizes, below = poset
     if reduced and len(sizes) < 2:
-        raise TrivialGroup("reduced power graph needs |G| >= 2")
+        raise InvalidSpec("reduced power graph needs |G| >= 2")
     drop = 1 if reduced else 0
     # Laplacian off-diagonal entries -k_C * k_D of the quotient
     adj: list[dict] = [{} for _ in sizes]

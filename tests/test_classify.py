@@ -9,7 +9,7 @@ from powertree.classify import (
     sylow_lower_bound,
 )
 from powertree.closedform import kappa_cyclic
-from powertree.errors import OutOfRange
+from powertree.errors import InvalidSpec
 from powertree.groups import GroupSpec, build, count_cyclic_subgroups
 from powertree.numutil import factorize
 from powertree.powergraph import clique_number, power_graph
@@ -30,7 +30,7 @@ def test_prime_support_bound_examples():
     assert prime_support_bound(124) == {2, 3}
     assert prime_support_bound(1) == {2}
     assert prime_support_bound(3) == {2, 3}
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidSpec, match="tree counts are >= 1 for groups"):
         prime_support_bound(0)
 
 
@@ -107,9 +107,9 @@ def test_classification_cases():
 
 
 def test_classification_out_of_range():
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidSpec, match="classification covers 1 <= kappa < 125, got 125"):
         classify_kappa_below_125(125)
-    with pytest.raises(OutOfRange):
+    with pytest.raises(InvalidSpec, match="classification covers 1 <= kappa < 125, got 0"):
         classify_kappa_below_125(0)
 
 

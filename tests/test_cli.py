@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from powertree import cli, closedform, errors, groups, numutil, powergraph, table1, treecount
+from powertree import classify, cli, closedform, errors, groups, numutil, powergraph, table1, treecount
 from powertree.cli import main
 from powertree.errors import DiscrepancyDetected, ParseError
 from powertree.groups import KINDS, GroupSpec, build
@@ -449,13 +449,14 @@ def test_each_consistency_guard_exits_1_with_one_line(monkeypatch, capsys, name,
 
 
 def test_error_types_carry_exit_codes():
+    # every module that raises is imported above, so every subclass is seen
     types = [errors.PowerTreeError]
     for t in types:
         types.extend(t.__subclasses__())
-    assert len(types) == 14
-    resource = {errors.UnsupportedOrder, errors.TooLarge, errors.TooManyDivisors}
+    assert [t.__name__ for t in types] == [
+        "PowerTreeError", "InvalidSpec", "TooLarge", "NotEPO", "ParseError", "DiscrepancyDetected"]
     for t in types:
-        expected = 3 if t in resource else 1 if t is DiscrepancyDetected else 2
+        expected = 3 if t is errors.TooLarge else 1 if t is DiscrepancyDetected else 2
         assert t.exit_code == expected, t.__name__
         assert t.label == ("discrepancy" if t is DiscrepancyDetected else "error")
 

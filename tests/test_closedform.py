@@ -18,17 +18,7 @@ from powertree.closedform import (
     kappa_quaternion_reduced,
     kappa_semidirect_pq,
 )
-from powertree.errors import (
-    DiscrepancyDetected,
-    EqualPrimes,
-    InvalidPair,
-    NotEPO,
-    NotPowerOfTwo,
-    NotPrime,
-    OutOfRange,
-    TooManyDivisors,
-    TrivialGroup,
-)
+from powertree.errors import DiscrepancyDetected, InvalidSpec, NotEPO, TooLarge
 from powertree.groups import GroupSpec, build
 from powertree.numutil import try_factorize
 from powertree.powergraph import power_graph, reduced_power_graph
@@ -149,7 +139,7 @@ def test_kappa_cyclic_reduced_2p():
 
 
 def test_kappa_cyclic_reduced_trivial():
-    with pytest.raises(TrivialGroup):
+    with pytest.raises(InvalidSpec, match="reduced tree count needs n >= 2"):
         kappa_cyclic_reduced(1)
 
 
@@ -163,9 +153,21 @@ def test_expansion_equals_determinant_form(monkeypatch):
         kappa_cyclic_expansion(6)
 
 
-def test_expansion_divisor_cap():
-    with pytest.raises(TooManyDivisors):
+def test_expansion_divisor_cap(monkeypatch):
+    with pytest.raises(TooLarge, match=r"238 middle divisors exceed the 2\^20 subset cap"):
         kappa_cyclic_expansion(720720)  # 240 divisors
+    # the cap counts the divisors before Z_n's record is built
+    monkeypatch.setattr(closedform, "divisor_profile", lambda n: pytest.fail("record built"))
+    with pytest.raises(TooLarge, match=r"^6718 middle divisors exceed the 2\^20 subset cap$"):
+        kappa_cyclic_expansion(963_761_198_400)
+
+
+def test_cyclic_closed_form_dense_cap():
+    # 382 middle divisors; no CLI input has more than 62 (n <= 10 000)
+    for call in (lambda: kappa_cyclic(4_324_320), lambda: kappa_cyclic_reduced(4_324_320),
+                 lambda: kappa_dihedral(4_324_320), lambda: kappa_quaternion_reduced(2_162_160)):
+        with pytest.raises(TooLarge, match="^cyclic closed form capped at dimension 360, got 382$"):
+            call()
 
 
 # --- two-prime forms ---------------------------------------------------------
@@ -190,9 +192,9 @@ def test_kappa_pq_2p_specialization():
 
 
 def test_kappa_pq_errors():
-    with pytest.raises(EqualPrimes):
+    with pytest.raises(InvalidSpec, match="need distinct primes, got p = q = 3"):
         kappa_pq(3, 3)
-    with pytest.raises(NotPrime):
+    with pytest.raises(InvalidSpec, match=r"kappa_pq needs two primes, got \(4, 3\)"):
         kappa_pq(4, 3)
 
 
@@ -236,9 +238,9 @@ def test_kappa_quaternion_pow2():
     for n in (1, 2, 4, 8):
         direct = temperley_kappa(power_graph(_build(f"quaternion:{n}"))).value
         assert kappa_quaternion_pow2(n).value == direct == 2 ** (5 * n - 1) * n ** (2 * n - 2)
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(InvalidSpec, match="need n a power of two, got 3"):
         kappa_quaternion_pow2(3)
-    with pytest.raises(NotPowerOfTwo):
+    with pytest.raises(InvalidSpec, match="need n a power of two, got 0"):
         kappa_quaternion_pow2(0)
 
 
@@ -278,9 +280,9 @@ def test_kappa_semidirect_pq():
     for p, q in [(3, 2), (5, 2), (7, 3), (11, 2), (13, 3)]:
         g = _build(f"semidirect:{p}:{q}")
         assert kappa_semidirect_pq(p, q).value == temperley_kappa(power_graph(g)).value
-    with pytest.raises(InvalidPair):
+    with pytest.raises(InvalidSpec, match=r"p = 1 mod q, got \(7, 5\)"):
         kappa_semidirect_pq(7, 5)
-    with pytest.raises(InvalidPair):
+    with pytest.raises(InvalidSpec, match=r"p = 1 mod q, got \(3, 5\)"):
         kappa_semidirect_pq(3, 5)
 
 
@@ -315,12 +317,12 @@ def test_nonpositive_sizes_raise_out_of_range():
         lambda: try_factorize(0),
     ]
     for call in calls:
-        with pytest.raises(OutOfRange):
+        with pytest.raises(InvalidSpec, match="must be >= 1"):
             call()
 
 
 def test_elementary_abelian_needs_a_prime():
-    with pytest.raises(NotPrime, match="4 is not prime"):
+    with pytest.raises(InvalidSpec, match="4 is not prime"):
         kappa_elementary_abelian(4, 2)
 
 

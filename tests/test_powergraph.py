@@ -9,7 +9,7 @@ import pytest
 from powertree import powergraph
 from powertree.cli import main
 from powertree.closedform import divisor_profile
-from powertree.errors import TooLarge, TrivialGroup
+from powertree.errors import InvalidSpec, TooLarge
 from powertree.groups import FiniteGroup, build, count_cyclic_subgroups
 from powertree.numutil import factorize
 from powertree.powergraph import (
@@ -156,7 +156,7 @@ def test_reduced_z6_connected():
 
 
 def test_reduced_power_graph_trivial_group():
-    with pytest.raises(TrivialGroup):
+    with pytest.raises(InvalidSpec, match=r"reduced power graph needs \|G\| >= 2"):
         _graph("cyclic:1", reduced=True)
 
 

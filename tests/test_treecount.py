@@ -6,7 +6,7 @@ from math import prod
 import pytest
 
 from powertree import powergraph, treecount
-from powertree.errors import DiscrepancyDetected, TooLarge, TrivialGroup
+from powertree.errors import DiscrepancyDetected, InvalidSpec, TooLarge
 from powertree.groups import GroupSpec, build
 from powertree.numutil import format_decimal, is_prime
 from powertree.powergraph import power_graph, reduced_power_graph
@@ -521,7 +521,7 @@ def test_quotient_matches_block_product_a6():
 
 
 def test_quotient_reduced_trivial_group():
-    with pytest.raises(TrivialGroup):
+    with pytest.raises(InvalidSpec, match=r"reduced power graph needs \|G\| >= 2"):
         quotient_kappa(build(parse_group_spec("cyclic:1")).poset, reduced=True)
 
 
