@@ -1,10 +1,10 @@
 """Integer helpers: primality, factorization, totients, divisor lists.
 
-Factorization divides out the primes below 100000, the first 64 one by one
-and the rest by the gcd of n with the product of each later run of 64, and
-splits what is left by Lenstra's elliptic-curve method (ECM) on Montgomery
-curves. One call of `try_factorize` gets ECM_CURVES curves in all, shared by
-every cofactor it splits off. The budget counts curves, not time, so a result
+Factorization divides out the primes below 100000 by runs of 64, skipping a
+run whose product is prime to n, and splits what is left by Lenstra's
+elliptic-curve method (ECM) on Montgomery curves; no result is cached. One
+call of `try_factorize` gets ECM_CURVES curves in all, shared by every
+cofactor it splits off. The budget counts curves, not time, so a result
 depends only on n.
 
 `in_lanes` is the package's one way to use several cores: it yields fn(item)
@@ -357,22 +357,17 @@ def try_factorize(n: int) -> dict[int, int] | None:
     if n < 1:
         raise InvalidSpec("n must be >= 1")
     out: dict[int, int] = {}
-    for p in _TRIAL_PRIMES[:_BLOCK]:
-        if p * p > n:
+    # by runs of _BLOCK trial primes: a run whose product is prime to n is skipped
+    for start in range(0, len(_TRIAL_PRIMES), _BLOCK):
+        if _TRIAL_PRIMES[start] ** 2 > n:
             break
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    else:
-        # the later runs by block: a run whose product is prime to n is skipped
-        for start in range(_BLOCK, len(_TRIAL_PRIMES), _BLOCK):
-            if _TRIAL_PRIMES[start] ** 2 > n:
-                break
-            if math.gcd(_trial_block(start), n) > 1:
-                for p in _TRIAL_PRIMES[start : start + _BLOCK]:
-                    while n % p == 0:
-                        out[p] = out.get(p, 0) + 1
-                        n //= p
+        if math.gcd(_trial_block(start), n) > 1:
+            for p in _TRIAL_PRIMES[start : start + _BLOCK]:
+                if p * p > n:
+                    break
+                while n % p == 0:
+                    out[p] = out.get(p, 0) + 1
+                    n //= p
     if 1 < n < _TRIAL_PRIMES[-1] ** 2:  # no trial prime divides n, so n is prime
         out[n] = 1
     elif n > 1:
@@ -382,13 +377,13 @@ def try_factorize(n: int) -> dict[int, int] | None:
     return out
 
 
-@lru_cache(maxsize=None)
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization of n >= 1; TooLarge when the curve budget runs out."""
+    """Prime factorization of n >= 1, a new dict on each call; TooLarge when
+    the curve budget runs out."""
     out = try_factorize(n)
     if out is None:
         raise TooLarge(f"could not factor a {n.bit_length()}-bit number in {ECM_CURVES} curves")
-    return dict(out)
+    return out
 
 
 def phi(n: int) -> int:

@@ -222,13 +222,7 @@ def exact_integer_determinant(matrix) -> int:
         for i in range(k + 1, n):
             ri = m[i]
             f = ri[k]
-            if f:
-                ri[k + 1 :] = [
-                    (a * pivot - f * b) // prev
-                    for a, b in zip(ri[k + 1 :], rk[k + 1 :])
-                ]
-            else:
-                ri[k + 1 :] = [a * pivot // prev for a in ri[k + 1 :]]
+            ri[k + 1 :] = [(a * pivot - f * b) // prev for a, b in zip(ri[k + 1 :], rk[k + 1 :])]
         prev = pivot
     return sign * m[n - 1][n - 1]
 
@@ -236,14 +230,11 @@ def exact_integer_determinant(matrix) -> int:
 def _ones_plus_laplacian(graph: MultiGraph) -> list[list[int]]:
     n = graph.vertex_count
     mat = [[1] * n for _ in range(n)]
-    deg = [0] * n
     for u, v, m in graph.edges():
         mat[u][v] -= m
         mat[v][u] -= m
-        deg[u] += m
-        deg[v] += m
-    for i in range(n):
-        mat[i][i] = 1 + deg[i]
+        mat[u][u] += m
+        mat[v][v] += m
     return mat
 
 

@@ -75,6 +75,13 @@ def test_factorize_roundtrip(n):
     assert product == n
 
 
+def test_factorize_hands_out_a_new_dict():
+    factorize(12)[5] = 1
+    assert factorize(12) == {2: 2, 3: 1}
+    assert phi(12) == 4
+    assert divisors(12) == [1, 2, 3, 4, 6, 12]
+
+
 def test_try_factorize_large_smooth():
     value = 2**180 * 3**40 * 5**108
     assert try_factorize(value) == {2: 180, 3: 40, 5: 108}
@@ -369,16 +376,18 @@ def test_block_trial_division_matches_the_per_prime_loop(monkeypatch):
         assert left == ([rest] if rest > 1 else []), n
 
 
-def test_small_numbers_build_no_blocks():
+def test_a_number_builds_only_the_runs_up_to_its_square_root():
     numutil._trial_block.cache_clear()
-    for n in (*range(1, 5000), 311**2 - 1, 307 * 311, 313 * 307, 96719):
+    for n in (1, 2, 3):
         assert try_factorize(n) == _per_prime(n)[0]
     assert numutil._trial_block.cache_info().currsize == 0
-    # a number builds only the runs up to its square root
+    for n in (*range(4, 5000), 311**2 - 1, 307 * 311, 313 * 307, 96719):
+        assert try_factorize(n) == _per_prime(n)[0]
+    assert numutil._trial_block.cache_info().currsize == 1  # the run from prime 2, built once
     assert try_factorize(313**2) == {313: 2}
-    assert numutil._trial_block.cache_info().currsize == 1
-    assert try_factorize(1009 * 1013) == {1009: 1, 1013: 1}  # the runs from primes 313 and 727
     assert numutil._trial_block.cache_info().currsize == 2
+    assert try_factorize(1009 * 1013) == {1009: 1, 1013: 1}  # and the runs from primes 313 and 727
+    assert numutil._trial_block.cache_info().currsize == 3
 
 
 _FORKS = []  # pids returned to the parent by a counting fork

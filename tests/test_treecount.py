@@ -111,6 +111,23 @@ def test_determinant_matches_cofactor_oracle_random():
         n = rng.randint(1, 6)
         mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
         assert exact_integer_determinant(mat) == _cofactor_det(mat)
+    # rows whose entry in the pivot column is already 0: block-diagonal
+    # matrices, and sparse 0/±1 ones, of up to 12 rows
+    for _ in range(20):
+        sizes = [rng.randint(1, 4) for _ in range(3)]
+        mat = [[0] * sum(sizes) for _ in range(sum(sizes))]
+        first = 0
+        for size in sizes:
+            for i in range(first, first + size):
+                mat[i][first : first + size] = [rng.randint(-5, 5) for _ in range(size)]
+            first += size
+        assert exact_integer_determinant(mat) == _cofactor_det(mat)
+    for _ in range(20):  # a ±1 diagonal, rows shuffled so that pivots swap
+        n = rng.randint(7, 12)
+        off = (0, 0, 0, 0, 0, 0, 1, -1)
+        mat = [[rng.choice((1, -1)) if i == j else rng.choice(off) for j in range(n)] for i in range(n)]
+        rng.shuffle(mat)
+        assert exact_integer_determinant(mat) == _cofactor_det(mat)
 
 
 # --- temperley ---------------------------------------------------------------
